@@ -4,18 +4,20 @@ Usage, from the root of a probsens checkout:
 
     python3 perfbench/run.py --workload identity --seed 1 --seconds 30 --trace 0
 
-Every operation is one run of the workload's case in a fresh interpreter
-(``perfbench/worker.py``) with one BLAS thread, writing its report files
-to a scratch directory; its outputs are then checked apart from the
-program (``perfbench/checks.py``).  Operations repeat in whole rounds until
-``--seconds`` have passed.
+Every operation is one run of the workload's case in a process of its
+own, forked from a worker interpreter that has imported probsens and
+runs with one BLAS thread (``perfbench/worker.py``).  It writes its report
+files to a scratch directory, and its outputs are then checked apart from
+the program (``perfbench/checks.py``).  Operations repeat in whole rounds
+until ``--seconds`` have passed.  Set-up time is measured in fresh
+interpreters that only import probsens and build the config.
 
 With ``--trace 0`` the last line of standard output reports the end-to-end
-metrics (medians over the run's operations); with ``--trace 1`` each round
-is one untraced and one traced operation, and the last line reports the
-per-layer metrics of the traced ones plus the tracing overhead.  Raw
-per-operation figures go to ``perfbench/results/``, spans to
-``perfbench/traces/``.
+metrics: the mean ``run_s`` and the median set-up time and peak memory.
+With ``--trace 1`` each round is one untraced and one traced operation,
+and the last line reports the per-layer metrics of the traced ones plus
+the tracing overhead.  Raw per-operation figures go to
+``perfbench/results/``, spans to ``perfbench/traces/``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,25 +43,43 @@ BENCH = ROOT / "perfbench"
 # default OpenBLAS pool makes wall and CPU time swing by 10% on 2 cores.
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# Interpreters per run that only import probsens and build the config;
-# their set-up times join those of the operations.  The median absorbs
-# the one slow start of a fresh checkout, which compiles byte code.
-SETUP_PROBES = 3
-OP_TIMEOUT_S = 170
+# Each run starts one fresh interpreter that only imports probsens and
+# builds the config before the operations' worker and one after it, so
+# that set-up is sampled at both ends of the run; their set-up times join
+# the worker's.  The median absorbs the one slow start of a fresh checkout,
+# which compiles byte code.  More probes would not steady it: set-up
+# drifts with the machine's speed over minutes, and every probe lengthens
+# the run.
+# A probe that runs longer than PROBE_TIMEOUT_S is killed, and so is the
+# operations' worker once the probe after it could no longer end within
+# RUN_LIMIT_S of the start, so that a run ends within three minutes.
+PROBE_TIMEOUT_S = 20
+RUN_LIMIT_S = 170
 
 
-def _worker(workload, seed, out_dir, env, *flags) -> dict | None:
+def _worker(workload, seed, out_dir, env, timeout, *flags) -> dict | None:
+    """Run worker.py in its own process group; kill the group on timeout."""
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--out", str(out_dir), *flags]
+    proc = subprocess.Popen(cmd, env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
     try:
-        proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=OP_TIMEOUT_S)
+        out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
-        print(f"perfbench: operation timed out after {OP_TIMEOUT_S} s: {cmd}", file=sys.stderr)
+        print(f"perfbench: worker timed out after {timeout} s: {cmd}", file=sys.stderr)
         return None
+    finally:
+        if proc.poll() is None or proc.returncode != 0:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+    sys.stderr.write(err)
     if proc.returncode != 0:
-        print(f"perfbench: worker exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        print(f"perfbench: worker exited {proc.returncode}", file=sys.stderr)
         return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def _metric(value, unit) -> dict:
@@ -85,25 +106,27 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     scratch = BENCH / "results" / f"{args.workload}-{os.getpid()}"
     out_dir = scratch / "out"
+    started = time.perf_counter()
     try:
         setups = []
-        for _ in range(SETUP_PROBES):
-            res = _worker(args.workload, args.seed, out_dir, env, "--setup-only")
-            if res is None:
-                return 1
-            setups.append(res["setup_s"])
 
-        ops = []
-        rounds = [[], ["--trace"]] if args.trace else [[]]
-        deadline = time.perf_counter() + args.seconds
-        while True:
-            for flags in rounds:
-                shutil.rmtree(out_dir, ignore_errors=True)
-                res = _worker(args.workload, args.seed, out_dir, env, *flags) or {"crashed": True}
-                res["traced"] = bool(flags)
-                ops.append(res)
-            if time.perf_counter() >= deadline:
-                break
+        def probe() -> bool:
+            res = _worker(args.workload, args.seed, out_dir, env, PROBE_TIMEOUT_S, "--setup-only")
+            if res is not None:
+                setups.append(res["setup_s"])
+            return res is not None
+
+        if not probe():
+            return 1
+        flags = ["--seconds", str(args.seconds)] + (["--trace"] if args.trace else [])
+        worker_limit = RUN_LIMIT_S - PROBE_TIMEOUT_S - (time.perf_counter() - started)
+        res = _worker(args.workload, args.seed, out_dir, env, worker_limit, *flags)
+        if res is None:
+            return 1
+        setups.append(res["setup_s"])
+        ops = res["ops"]
+        if not probe():
+            return 1
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -118,21 +141,24 @@ def main(argv=None) -> int:
         print("perfbench: no operation completed", file=sys.stderr)
         return 1
 
-    def median(key, sel):
-        return statistics.median(op[key] for op in sel)
+    # run_s is the mean over the run's operations: the machine's speed
+    # drifts in phases of tens of seconds, and the mean weighs the whole
+    # run where the median takes the time of one operation in one phase.
+    def mean_run_s(sel):
+        return statistics.fmean(op["run_s"] for op in sel)
 
     if args.trace:
         metrics = {
             name: _metric(statistics.median(op["layers"][name] for op in traced), unit)
             for name, unit, _ in spans.METRICS
         }
-        metrics["bench.trace_overhead_s"] = _metric(median("run_s", traced) - median("run_s", untraced), "s")
+        metrics["bench.trace_overhead_s"] = _metric(mean_run_s(traced) - mean_run_s(untraced), "s")
         metrics["bench.absent_names"] = _metric(len(traced[0]["absent"]), "count")
     else:
         metrics = {
-            "setup_s": _metric(statistics.median(setups + [op["setup_s"] for op in ran]), "s"),
-            "run_s": _metric(median("run_s", untraced), "s"),
-            "peak_rss_mb": _metric(median("peak_rss_mb", untraced), "MB"),
+            "setup_s": _metric(statistics.median(setups), "s"),
+            "run_s": _metric(mean_run_s(untraced), "s"),
+            "peak_rss_mb": _metric(statistics.median(op["peak_rss_mb"] for op in untraced), "MB"),
         }
     result = {"correct": not failures, "attempted": len(ops), "failed": len(ops) - len(done), "metrics": metrics}
 
@@ -145,7 +171,7 @@ def main(argv=None) -> int:
         "thread_env": THREAD_ENV,
         "nproc": os.cpu_count(),
         "python": sys.version.split()[0],
-        "setup_probes_s": setups,
+        "setup_s": setups,
         "ops": [{k: v for k, v in op.items() if k not in ("spans", "layers")} for op in ops],
         "absent": traced[0]["absent"] if traced else [],
     }
