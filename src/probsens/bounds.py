@@ -11,13 +11,13 @@ Two kinds of checks live here:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import ContractError, ParameterDomainError, SupportError
 from .fisher import FisherMatrix
@@ -274,20 +274,36 @@ def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db) -> SimplexOracleResul
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _binomial_pmf(n_trials: int, theta: float) -> np.ndarray:
+    """Binomial(n_trials, theta) probabilities in closed form, read-only
+    because every family over the same (n_trials, theta) shares them."""
+    p = np.array(
+        [math.comb(n_trials, k) * theta**k * (1.0 - theta) ** (n_trials - k) for k in range(n_trials + 1)]
+    )
+    p.flags.writeable = False
+    return p
+
+
 def binomial_family(n_trials: int, failure_set) -> DiscretePmfFamily:
-    """Binomial(n_trials, theta) family with exact probability Jacobian."""
+    """Binomial(n_trials, theta) family with exact probability Jacobian.
+
+    The closed form needs binomial coefficients that fit a float, which
+    holds for n_trials <= 1000.
+    """
+    if not 0 <= n_trials <= 1000:
+        raise ParameterDomainError(f"n_trials must be in [0, 1000], got {n_trials}")
 
     def pmf(b):
         theta = float(np.atleast_1d(b)[0])
         if not 0.0 < theta < 1.0:
             raise ParameterDomainError("theta must be in (0, 1)")
-        return binom.pmf(np.arange(n_trials + 1), n_trials, theta)
+        return _binomial_pmf(n_trials, theta)
 
     def dpdb(b):
         theta = float(np.atleast_1d(b)[0])
         k = np.arange(n_trials + 1)
-        p = binom.pmf(k, n_trials, theta)
-        return (p * (k - n_trials * theta) / (theta * (1.0 - theta)))[:, None]
+        return (pmf(b) * (k - n_trials * theta) / (theta * (1.0 - theta)))[:, None]
 
     return DiscretePmfFamily(
         d=n_trials + 1, pmf=pmf, failure_set=tuple(failure_set), dpdb=dpdb

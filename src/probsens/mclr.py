@@ -197,6 +197,8 @@ def sensitivity_curve(
 ) -> list[SensitivityResult]:
     """One SensitivityResult per threshold, thresholds taken as empirical
     percentiles of the performance values g(h(x))."""
+    if direction not in _DIRECTIONS:
+        raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     percentiles = np.asarray(percentiles, dtype=float)
     if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")

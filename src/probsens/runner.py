@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -94,7 +95,15 @@ class RunConfig:
             raise ConfigError("perturbation_scale must be positive")
         if not 0.0 < self.fd_rel_step < 0.1:
             raise ConfigError("fd_rel_step must be in (0, 0.1)")
+        try:
+            self.seed = operator.index(self.seed)
+        except TypeError as exc:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         self.percentiles = [float(p) for p in self.percentiles]
+        if not self.percentiles:
+            raise ConfigError("percentiles must not be empty")
         if any(not 0.0 < p < 100.0 for p in self.percentiles):
             raise ConfigError("percentiles must lie strictly inside (0, 100)")
         unknown = set(self.beam) - set(_BEAM_KEYS)
@@ -465,6 +474,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every element, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
 def write_outputs(report: dict, out_dir: str) -> list[str]:
     """Write curve.csv, density.csv and report.json; returns the paths."""
     out = Path(out_dir)
@@ -493,23 +507,18 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
     if dg is not None:
         param_names = report["param_names"]
         path = out / "density.csv"
+        # one row per grid point in C order; each axis value is formatted once
+        axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
+        index = np.meshgrid(*[np.arange(ax.size) for ax in dg.axes], indexing="ij")
+        columns = [
+            [labels[i] for i in idx.ravel().tolist()]
+            for labels, idx in zip(map(_fmt_all, dg.axes), index)
+        ]
+        columns += [_fmt_all(v) for v in (dg.density, *dg.density_grad)]
         with path.open("w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            if dg.ndim == 1:
-                w.writerow(["y", "density"] + [f"d_density_{nm}" for nm in param_names])
-                for i, y in enumerate(dg.axes[0]):
-                    w.writerow(
-                        [_fmt(y), _fmt(dg.density[i])]
-                        + [_fmt(dg.density_grad[j][i]) for j in range(len(param_names))]
-                    )
-            else:
-                w.writerow(["y1", "y2", "density"] + [f"d_density_{nm}" for nm in param_names])
-                for i, y1 in enumerate(dg.axes[0]):
-                    for k, y2 in enumerate(dg.axes[1]):
-                        w.writerow(
-                            [_fmt(y1), _fmt(y2), _fmt(dg.density[i, k])]
-                            + [_fmt(dg.density_grad[j][i, k]) for j in range(len(param_names))]
-                        )
+            w.writerow(axes + ["density"] + [f"d_density_{nm}" for nm in param_names])
+            w.writerows(zip(*columns))
         written.append(str(path))
 
     path = out / "report.json"

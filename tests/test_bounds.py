@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +169,20 @@ def test_oracle_fd_jacobian_agrees_with_analytic():
     fam_fd = ps.DiscretePmfFamily(d=fam.d, pmf=fam.pmf, failure_set=fam.failure_set, dpdb=None)
     b = np.array([0.37])
     assert np.allclose(fam.jacobian(b), fam_fd.jacobian(b), rtol=1e-8, atol=1e-12)
+
+
+def test_binomial_pmf_closed_form_and_domain():
+    fam = ps.binomial_family(9, (0,))
+    p = fam.pmf(np.array([0.3]))
+    t = Fraction(0.3)
+    exact = [float(math.comb(9, k) * t**k * (1 - t) ** (9 - k)) for k in range(10)]
+    assert np.allclose(p, exact, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        p[0] = 1.0  # shared by every family over the same (n_trials, theta)
+    with pytest.raises(ps.ParameterDomainError):
+        fam.pmf(np.array([1.0]))
+    with pytest.raises(ps.ParameterDomainError):
+        ps.binomial_family(1001, (0,))
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])

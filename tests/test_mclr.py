@@ -96,6 +96,13 @@ def test_curve_rejects_bad_percentiles(batch):
         ps.sensitivity_curve(identity_h, g_scalar, [0.0, 50.0], batch)
 
 
+def test_curve_rejects_unknown_direction(batch):
+    # a misspelt direction must not silently fall back to "below"
+    for direction in ("Above", "exceed", ""):
+        with pytest.raises(ps.ParameterDomainError, match="direction"):
+            ps.sensitivity_curve(identity_h, g_scalar, [50.0], batch, direction=direction)
+
+
 def test_degenerate_output_flagged(batch):
     with pytest.warns(RuntimeWarning, match="degenerate"):
         ps.sensitivity_curve(identity_h, lambda v: np.zeros(len(v)), [50.0], batch)

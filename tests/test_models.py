@@ -1,10 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import probsens as ps
+import probsens.models.beam as beam_module
+from probsens.cli import main
 from probsens.models import (
     BeamConfig,
     beam_mode_shape,
@@ -180,6 +185,99 @@ def test_beam_ensemble_matches_batching():
     again = beam_rms_ensemble(e, rho, cfg)
     assert np.array_equal(full, again)
     assert np.all(np.isfinite(full)) and np.all(full > 0)
+
+
+# standard-normal coordinates of lognormal (E, rho) rows, out to 4 sigma
+_BEAM_ROWS = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=12
+)
+
+
+def _lognormal_rows(z):
+    z = np.asarray(z, dtype=float)
+    return np.exp(24.85 + 0.47 * z[:, 0]), np.exp(7.88 + 0.2 * z[:, 1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(z=_BEAM_ROWS, data=st.data())
+def test_beam_ensemble_rows_independent_of_block_order_and_batch(z, data):
+    # each row's result depends only on that row: bit-identical for any
+    # block size, any row order, and when the row is evaluated alone
+    cfg = BeamConfig()
+    e, rho = _lognormal_rows(z)
+    ref = beam_rms_ensemble(e, rho, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        for rows in (1, 3, 8, 256):
+            mp.setattr(beam_module, "BEAM_CHUNK", rows)
+            assert np.array_equal(beam_rms_ensemble(e, rho, cfg), ref)
+    perm = np.array(data.draw(st.permutations(range(e.size))))
+    assert np.array_equal(beam_rms_ensemble(e[perm], rho[perm], cfg), ref[perm])
+    alone = np.vstack([beam_rms_ensemble(e[i : i + 1], rho[i : i + 1], cfg) for i in range(e.size)])
+    assert np.array_equal(alone, ref)
+
+
+def _direct_modal_rms(e, rho, cfg):
+    """Peak r.m.s. by the plain modal sum over positions x frequencies:
+    complex receptances H(u, w), squared moduli, trapezoidal integrals."""
+    u = cfg.response_fractions()
+    omega = cfg.omega_grid()
+    wr = beam_natural_frequencies(e, rho, cfg)
+    h_disp = np.zeros((u.size, omega.size), dtype=complex)
+    h_curv = np.zeros((u.size, omega.size), dtype=complex)
+    for r, bl in enumerate(beam_roots(cfg.n_modes)):
+        phi, curv = beam_mode_shape(bl, u)
+        phi_ex = beam_mode_shape(bl, cfg.excitation_frac)[0]
+        t = 1.0 / (wr[r] ** 2 - omega**2 + 2j * cfg.modal_damping * wr[r] * omega)
+        h_disp += np.outer(phi * phi_ex, t)
+        h_curv += np.outer(curv / cfg.length**2 * phi_ex, t)
+    acc = np.trapezoid(2.0 * cfg.force_psd * omega**4 * np.abs(h_disp) ** 2, omega, axis=1)
+    strain = np.trapezoid(2.0 * cfg.force_psd * np.abs(h_curv) ** 2, omega, axis=1)
+    return math.sqrt(acc.max()), math.sqrt(strain.max())
+
+
+def test_beam_ensemble_matches_direct_modal_sum():
+    cfg = BeamConfig()
+    rng = np.random.default_rng(11)
+    z = np.vstack([rng.normal(size=(6, 2)), [[4.0, -4.0], [-4.0, 4.0]]])
+    e, rho = _lognormal_rows(z)
+    got = beam_rms_ensemble(e, rho, cfg)
+    for i in range(e.size):
+        want = _direct_modal_rms(e[i], rho[i], cfg)
+        assert got[i, 0] == pytest.approx(want[0], rel=1e-12)
+        assert got[i, 1] == pytest.approx(want[1], rel=1e-12)
+
+
+def test_beam_ensemble_threaded_chunks_match_serial():
+    # evaluate_outputs runs h on a thread pool; work buffers must not be shared
+    cfg = BeamConfig()
+    rng = np.random.default_rng(2)
+    draws = np.column_stack(_lognormal_rows(rng.normal(size=(96, 2))))
+
+    def h(x):
+        return beam_rms_ensemble(x[:, 0], x[:, 1], cfg)
+
+    serial = ps.evaluate_outputs(h, draws, chunk=8, workers=1)
+    threaded = ps.evaluate_outputs(h, draws, chunk=8, workers=2)
+    assert np.array_equal(serial, threaded)
+
+
+def test_beam_run_bytes_independent_of_workers(tmp_path):
+    # 4200 samples make two evaluation chunks (CHUNK = 4096), so --workers 2
+    # really evaluates the forward map on two threads; one perturbation and
+    # three thresholds keep the run short
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"percentiles": [25, 50, 75], "perturbations": [[0.0047, 0.0, 0.0, 0.0]]})
+    )
+    outs, codes = [], []
+    for workers in ("1", "2"):
+        d = tmp_path / f"w{workers}"
+        argv = ["run", "--config", str(cfg_path), "--case", "beam", "--samples", "4200"]
+        codes.append(main(argv + ["--workers", workers, "--out", str(d)]))
+        outs.append(d)
+    assert codes[0] == codes[1]
+    for name in ("curve.csv", "density.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_single_mode_strain_matches_white_noise_integral():

@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import probsens as ps
+from probsens.mclr import DensityGrid
 from probsens.cli import main
-from probsens.runner import RunConfig, default_config, run, run_case, verify
+from probsens.runner import RunConfig, default_config, run, run_case, verify, write_outputs
 
 FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
 
@@ -27,6 +29,30 @@ def test_config_validation():
         RunConfig(case="identity", n_samples=500)  # too small for density grids
     with pytest.raises(ps.ConfigError):
         RunConfig(case="identity", workers=0)
+
+
+def test_config_rejects_empty_percentiles():
+    for empty in ([], np.array([])):
+        with pytest.raises(ps.ConfigError, match="percentiles"):
+            RunConfig(case="identity", percentiles=empty)
+
+
+def test_config_rejects_seed_outside_uint64():
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ps.ConfigError, match="seed"):
+            RunConfig(case="identity", seed=seed)
+    for seed in (1.5, "7"):
+        with pytest.raises(ps.ConfigError, match="seed"):
+            RunConfig(case="identity", seed=seed)
+    assert RunConfig(case="identity", seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_rejects_out_of_range_seed(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--case", "identity", "--seed", seed])
+    assert exc.value.code == 2
+    assert "seed must be in" in capsys.readouterr().err
 
 
 def test_default_config_round_trip():
@@ -66,6 +92,26 @@ def test_reproducibility_across_runs_and_workers(tmp_path):
         assert (d / "curve.csv").read_bytes() == ref_curve
         assert (d / "report.json").read_bytes() == ref_report
         assert (d / "density.csv").read_bytes() == ref_density
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_density_csv_rows_match_per_point_loop(tmp_path, shape):
+    # reference: one row per grid point in C order, every number as repr(float)
+    rng = np.random.default_rng(4)
+    axes = tuple(np.linspace(-1.0, 2.0, n) / 3.0 for n in shape)
+    density = rng.lognormal(size=shape) * 1e-7
+    grads = rng.normal(size=(2,) + shape)
+    grads[0].flat[0] = -0.0
+    dg = DensityGrid(axes=axes, density=density, density_grad=grads, bandwidth=np.ones(len(shape)))
+    write_outputs({"param_names": ["mu", "sigma"], "_density_grid": dg}, str(tmp_path))
+    lines = (tmp_path / "density.csv").read_text().splitlines()
+    labels = ["y"] if len(shape) == 1 else ["y1", "y2"]
+    assert lines[0] == ",".join(labels + ["density", "d_density_mu", "d_density_sigma"])
+    expected = []
+    for idx in np.ndindex(*shape):
+        values = [ax[i] for ax, i in zip(axes, idx)] + [density[idx], grads[0][idx], grads[1][idx]]
+        expected.append(",".join(repr(float(v)) for v in values))
+    assert lines[1:] == expected
 
 
 def test_discrete_oracle_case(tmp_path):
