@@ -45,14 +45,11 @@ from .errors import (
 from .fisher import FisherMatrix
 from .mclr import (
     DensityGrid,
-    FailureSpec,
     SensitivityResult,
-    estimate_gradient,
     estimate_gradient_fd,
     estimate_kl,
     estimate_output_density,
     estimate_output_fim,
-    estimate_pf,
     evaluate_outputs,
     sensitivity_curve,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "DensityGrid",
     "DiscretePmfFamily",
     "EvaluationError",
-    "FailureSpec",
     "FisherMatrix",
     "InputModel",
     "MarginalSpec",
@@ -83,12 +79,10 @@ __all__ = [
     "check_sensitivity_bound",
     "discrete_kl",
     "discrete_simplex_oracle",
-    "estimate_gradient",
     "estimate_gradient_fd",
     "estimate_kl",
     "estimate_output_density",
     "estimate_output_fim",
-    "estimate_pf",
     "evaluate_outputs",
     "info_processing_check",
     "joint_score_and_fim",

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .errors import ConfigError
-from .runner import CASES, RunConfig, default_config, run, verify
+from .runner import CASES, RunConfig, run, verify
 
 
 def _load_config(args) -> RunConfig:
@@ -62,16 +62,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "print-config":
-            data = {"case": args.case or "identity"}
-            if args.seed is not None:
-                data["seed"] = args.seed
-            if args.samples is not None:
-                data["n_samples"] = args.samples
-            if args.out is not None:
-                data["out_dir"] = args.out
-            if args.workers is not None:
-                data["workers"] = args.workers
-            print(json.dumps(RunConfig.from_dict(data).to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(_load_config(args).to_dict(), indent=2, sort_keys=True))
             return 0
 
         if args.command == "verify":

@@ -5,12 +5,16 @@ Everything here is a weighted average over the rows of a
 
 * failure probability          mean of the failure indicator
 * probability gradient         mean of indicator * score  (one run, no re-simulation)
+* finite-difference oracle     mean of indicator * likelihood-ratio weight difference
 * output density and d/db      kernel-smoothed versions of the same sums on a grid
 * output Fisher information    floored grid quadrature of (dp/db_j)(dp/db_k)/p
 * relative entropy             grid quadrature of p * ln(p/q)
 
-Reductions ride on numpy's fixed pairwise summation over fully assembled
-arrays, so results do not depend on how the batch was produced.
+The three indicator-weighted means come from one sorted sweep that serves
+every threshold at once (:func:`_threshold_sums`).  Reductions run in a
+fixed order over fully assembled arrays (numpy's pairwise sums, or
+cumulative sums in sorted order), so results do not depend on how the
+batch was produced.
 """
 
 from __future__ import annotations
@@ -34,31 +38,6 @@ _DIRECTIONS = ("above", "below")
 # 1/p quadratures: the integrand diverges in empty tails, and exclusion only
 # biases the information estimate downward (conservative for upper bounds).
 DENSITY_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class FailureSpec:
-    """Performance function, threshold, and exceedance direction.
-
-    ``above`` counts g(y) > z as failure (ties break toward non-failure);
-    ``below`` is the exact complement g(y) <= z, i.e. the CDF convention.
-    """
-
-    g: Callable[[np.ndarray], np.ndarray]
-    z: float
-    direction: str = "above"
-
-    def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
-            raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}")
-
-    def indicator(self, outputs: np.ndarray) -> np.ndarray:
-        """0/1 failure indicator per sample row."""
-        gv = np.asarray(self.g(outputs), dtype=float)
-        if gv.ndim != 1:
-            raise ContractError("performance function must reduce outputs to one scalar per row")
-        above = gv > self.z
-        return (above if self.direction == "above" else ~above).astype(float)
 
 
 @dataclass(frozen=True)
@@ -117,74 +96,80 @@ def _outputs_for(h, batch: ScoredSampleBatch, outputs) -> np.ndarray:
     return outputs
 
 
-def estimate_pf(h, spec: FailureSpec, batch: ScoredSampleBatch, outputs=None):
-    """Failure probability and its binomial standard error."""
-    if batch.n < 1:
-        raise ContractError("batch is empty")
-    ind = spec.indicator(_outputs_for(h, batch, outputs))
-    p = float(np.mean(ind))
-    return p, math.sqrt(p * (1.0 - p) / batch.n)
+def _threshold_sums(gvals, zs, direction: str, weights=None):
+    """Failure-set size and weight column sums at every threshold at once.
 
+    ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
+    non-failure for ``above``.  After one stable sort of g, the failure set
+    at each z is a prefix (below) or suffix (above) of the sorted rows, of
+    length found by ``searchsorted(side="right")``; each column sum is then
+    one row of a cumulative sum over the sorted weights.  A threshold's
+    result depends only on its own failure set, never on the other
+    thresholds, and no (thresholds, rows) array is formed.
 
-def estimate_gradient(h, spec: FailureSpec, batch: ScoredSampleBatch, outputs=None) -> SensitivityResult:
-    """Gradient of the failure probability w.r.t. the distribution parameters.
-
-    Single-run estimator: mean over samples of indicator * score.  The
-    per-component standard error is the sample std of that summand / sqrt(N).
+    Returns the counts, shape (T,), and the sums, shape (T,) + weights.shape[1:]
+    (None without weights).
     """
-    ind = spec.indicator(_outputs_for(h, batch, outputs))
-    summand = ind[:, None] * batch.scores
-    grad = summand.mean(axis=0)
-    grad_se = summand.std(axis=0, ddof=1) / math.sqrt(batch.n)
-    p = float(np.mean(ind))
-    return SensitivityResult(
-        z=spec.z,
-        p_f=p,
-        gradient=grad,
-        grad_norm_sq=float(grad @ grad),
-        n_samples=batch.n,
-        std_err_pf=math.sqrt(p * (1.0 - p) / batch.n),
-        grad_std_err=grad_se,
-    )
+    if direction not in _DIRECTIONS:
+        raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    gvals = np.asarray(gvals, dtype=float)
+    if gvals.ndim != 1:
+        raise ContractError("performance function must reduce outputs to one scalar per row")
+    bad = ~np.isfinite(gvals)
+    if np.any(bad):
+        raise EvaluationError(f"performance value is not finite at row {int(np.flatnonzero(bad)[0])}")
+    order = np.argsort(gvals, kind="stable")
+    n_below = np.searchsorted(gvals[order], np.asarray(zs, dtype=float), side="right")
+    counts = n_below if direction == "below" else gvals.size - n_below
+    if weights is None:
+        return counts, None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[0] != gvals.size:
+        raise ContractError("weights do not match the performance values in length")
+    sorted_w = weights[order] if direction == "below" else weights[order[::-1]]
+    csum = np.zeros((gvals.size + 1,) + weights.shape[1:])
+    np.cumsum(sorted_w, axis=0, out=csum[1:])
+    return counts, csum[counts]
 
 
 def estimate_gradient_fd(
-    h,
-    spec: FailureSpec,
+    gvals,
+    zs,
     model: InputModel,
     batch: ScoredSampleBatch,
+    direction: str = "above",
     rel_step: float = 1e-2,
     steps=None,
-    outputs=None,
 ) -> np.ndarray:
-    """Finite-difference gradient oracle on the same draws.
+    """Finite-difference gradient oracle at every threshold, on the same draws.
 
     Central differences of the likelihood-ratio-reweighted probability:
     the indicator is held fixed and the parameter perturbation enters only
     through exact log-density ratios.  Shares all randomness with
-    :func:`estimate_gradient`, so the comparison isolates the analytic
+    :func:`sensitivity_curve`, so the comparison isolates the analytic
     score formulas from Monte-Carlo noise.
 
     Steps default to ``rel_step`` times each parameter's natural scale (the
     owning marginal's sigma), which keeps the likelihood-ratio exponents
     of order rel_step; pass ``steps`` for explicit per-parameter control.
+    Returns one row of n_params components per threshold in ``zs``.
     """
-    ind = spec.indicator(_outputs_for(h, batch, outputs))
-    base_logp = model.logpdf(batch.draws)
     if steps is None:
         steps = rel_step * model.param_scales()
     else:
         steps = np.broadcast_to(np.asarray(steps, dtype=float), (model.n_params,))
     if np.any(steps <= 0.0):
         raise ParameterDomainError("finite-difference steps must be positive")
-    grad = np.empty(model.n_params)
-    for j in range(model.n_params):
+    base_logp = model.logpdf(batch.draws)
+    wdiff = np.empty((batch.n, model.n_params))
+    for j, step in enumerate(steps):
         db = np.zeros(model.n_params)
-        db[j] = steps[j]
+        db[j] = step
         w_plus = np.exp(model.shifted(db).logpdf(batch.draws) - base_logp)
         w_minus = np.exp(model.shifted(-db).logpdf(batch.draws) - base_logp)
-        grad[j] = float(np.mean(ind * (w_plus - w_minus))) / (2.0 * steps[j])
-    return grad
+        wdiff[:, j] = (w_plus - w_minus) / (2.0 * step)
+    _, sums = _threshold_sums(gvals, zs, direction, wdiff)
+    return sums / batch.n
 
 
 def sensitivity_curve(
@@ -196,33 +181,39 @@ def sensitivity_curve(
     outputs=None,
 ) -> list[SensitivityResult]:
     """One SensitivityResult per threshold, thresholds taken as empirical
-    percentiles of the performance values g(h(x))."""
-    if direction not in _DIRECTIONS:
-        raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    percentiles of the performance values g(h(x)).
+
+    At each threshold z: P_f is the failure-set fraction, the gradient the
+    mean of indicator * score, and its per-component standard error the
+    sample std (ddof=1) of that summand / sqrt(N), from the summand's first
+    two moments.
+    """
     percentiles = np.asarray(percentiles, dtype=float)
     if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
-    outputs = _outputs_for(h, batch, outputs)
-    gvals = np.asarray(g(outputs), dtype=float)
+    gvals = np.asarray(g(_outputs_for(h, batch, outputs)), dtype=float)
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
+    zs = np.percentile(gvals, percentiles)
+    n, n_params = batch.scores.shape
+    counts, sums = _threshold_sums(
+        gvals, zs, direction, np.concatenate([batch.scores, batch.scores**2], axis=1)
+    )
+    grads = sums[:, :n_params] / n
+    var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
+    grad_se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
     results = []
-    for p in percentiles:
-        z = float(np.percentile(gvals, p))
-        above = gvals > z
-        ind = (above if direction == "above" else ~above).astype(float)
-        summand = ind[:, None] * batch.scores
-        grad = summand.mean(axis=0)
-        pf = float(np.mean(ind))
+    for z, count, grad, se in zip(zs, counts, grads, grad_se):
+        pf = float(count / n)
         results.append(
             SensitivityResult(
-                z=z,
+                z=float(z),
                 p_f=pf,
                 gradient=grad,
                 grad_norm_sq=float(grad @ grad),
-                n_samples=batch.n,
-                std_err_pf=math.sqrt(pf * (1.0 - pf) / batch.n),
-                grad_std_err=summand.std(axis=0, ddof=1) / math.sqrt(batch.n),
+                n_samples=n,
+                std_err_pf=math.sqrt(pf * (1.0 - pf) / n),
+                grad_std_err=se,
             )
         )
     return results

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -37,6 +37,7 @@ from .bounds import (
 from .distributions import InputModel, lognormal, normal, sample
 from .errors import ConfigError
 from .mclr import (
+    _threshold_sums,
     estimate_gradient_fd,
     estimate_kl,
     estimate_output_density,
@@ -44,7 +45,7 @@ from .mclr import (
     evaluate_outputs,
     sensitivity_curve,
 )
-from .models import beam_performance, beam_rms_ensemble, identity_analytic, sho_response
+from .models import beam_rms_ensemble, identity_analytic, sho_response
 from .models.beam import BeamConfig
 
 CASES = ("identity", "sho", "beam", "discrete-oracle")
@@ -87,6 +88,11 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {CASES}")
         if self.n_samples is None:
             self.n_samples = 20000 if self.case == "beam" else 100000
+        for name in ("n_samples", "workers", "seed"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError as exc:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from exc
         if self.case != "discrete-oracle" and self.n_samples < 1000:
             raise ConfigError("n_samples must be >= 1000 (density estimation needs it)")
         if self.workers < 1:
@@ -95,10 +101,6 @@ class RunConfig:
             raise ConfigError("perturbation_scale must be positive")
         if not 0.0 < self.fd_rel_step < 0.1:
             raise ConfigError("fd_rel_step must be in (0, 0.1)")
-        try:
-            self.seed = operator.index(self.seed)
-        except TypeError as exc:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from exc
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         self.percentiles = [float(p) for p in self.percentiles]
@@ -125,20 +127,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "n_samples": int(self.n_samples),
-            "seed": int(self.seed),
-            "percentiles": list(self.percentiles),
-            "perturbation_scale": self.perturbation_scale,
-            "perturbations": self.perturbations,
-            "bandwidth": self.bandwidth,
-            "fd_rel_step": self.fd_rel_step,
-            "beam": dict(self.beam),
-            "oracle": dict(self.oracle),
-            "out_dir": self.out_dir,
-            "workers": int(self.workers),
-        }
+        return asdict(self)
 
     def provenance_dict(self) -> dict:
         """Config echo without delivery knobs (out_dir, workers): those cannot
@@ -172,58 +161,41 @@ class CaseStudy:
     name: str
     model: InputModel
     h: Callable[[np.ndarray], np.ndarray]
+    # performance value per row of the normalised outputs
+    g: Callable[[np.ndarray], np.ndarray]
     direction: str
-    output_dim: int
-    # builds the scalar performance function once the base ensemble is known
-    # (the beam normalises by ensemble maxima; the others are identity)
-    make_g: Callable[[np.ndarray], Callable] = None  # type: ignore[assignment]
+    # divisors fitted once on the base ensemble; every batch's outputs are
+    # divided by them before g and the density grid see them
+    scale: Callable[[np.ndarray], np.ndarray | float] = lambda outputs: 1.0
 
 
 def build_case(config: RunConfig) -> CaseStudy:
     if config.case == "identity":
-        model = InputModel((normal(1.0, 0.2),))
         return CaseStudy(
             name="identity",
-            model=model,
+            model=InputModel((normal(1.0, 0.2),)),
             h=lambda x: x[:, 0],
+            g=lambda y: y,
             direction="below",
-            output_dim=1,
-            make_g=lambda outputs: (lambda v: np.asarray(v, dtype=float)),
         )
     if config.case == "sho":
-        model = InputModel((normal(1.0, 0.1), normal(0.1, 0.01)))
         return CaseStudy(
             name="sho",
-            model=model,
+            model=InputModel((normal(1.0, 0.1), normal(0.1, 0.01))),
             h=lambda x: sho_response(x[:, 0], x[:, 1]),
+            g=lambda y: y,
             direction="below",
-            output_dim=1,
-            make_g=lambda outputs: (lambda v: np.asarray(v, dtype=float)),
         )
     if config.case == "beam":
-        model = InputModel((lognormal(24.85, 0.47), lognormal(7.88, 0.2)))
         beam_cfg = _beam_config(config.beam)
-
-        def h(x):
-            return beam_rms_ensemble(x[:, 0], x[:, 1], beam_cfg)
-
-        def make_g(outputs):
-            normalizers = outputs.max(axis=0)
-
-            def g(v):
-                v = np.asarray(v, dtype=float)
-                return beam_performance(v[:, 0], v[:, 1], normalizers)
-
-            g.normalizers = normalizers
-            return g
-
         return CaseStudy(
             name="beam",
-            model=model,
-            h=h,
+            model=InputModel((lognormal(24.85, 0.47), lognormal(7.88, 0.2))),
+            h=lambda x: beam_rms_ensemble(x[:, 0], x[:, 1], beam_cfg),
+            # squared sum of the peak responses, each normalised by its ensemble maximum
+            g=lambda y: y[:, 0] ** 2 + y[:, 1] ** 2,
             direction="above",
-            output_dim=2,
-            make_g=make_g,
+            scale=lambda outputs: outputs.max(axis=0),
         )
     raise ConfigError(f"case {config.case!r} has no sampling pipeline")
 
@@ -244,12 +216,6 @@ def _auto_perturbations(model: InputModel, scale: float) -> list[np.ndarray]:
     return out
 
 
-def _pf_at_thresholds(gvals: np.ndarray, zs: np.ndarray, direction: str) -> np.ndarray:
-    if direction == "above":
-        return np.array([float(np.mean(gvals > z)) for z in zs])
-    return np.array([float(np.mean(gvals <= z)) for z in zs])
-
-
 def run_case(config: RunConfig) -> dict:
     """Execute one case study and return the full report as a plain dict."""
     if config.case == "discrete-oracle":
@@ -257,28 +223,23 @@ def run_case(config: RunConfig) -> dict:
 
     case = build_case(config)
     model = case.model
-    n = int(config.n_samples)
+    n = config.n_samples
 
     batch = sample(model, n, config.seed)
     outputs = evaluate_outputs(case.h, batch.draws, workers=config.workers)
-    g = case.make_g(outputs)
-    gvals = np.asarray(g(outputs), dtype=float)
-
-    if case.name == "beam":
-        normalizers = g.normalizers
-        dens_outputs = outputs / normalizers
-    else:
-        dens_outputs = outputs
+    scale = case.scale(outputs)
+    y = outputs / scale
+    gvals = case.g(y)
 
     # threshold sweep
     curve = sensitivity_curve(
-        case.h, g, config.percentiles, batch, direction=case.direction, outputs=outputs
+        case.h, case.g, config.percentiles, batch, direction=case.direction, outputs=y
     )
     zs = np.array([r.z for r in curve])
 
     # output density, output/input information
     bandwidth = np.asarray(config.bandwidth, dtype=float) if config.bandwidth else None
-    dg = estimate_output_density(dens_outputs, batch.scores, bandwidth=bandwidth)
+    dg = estimate_output_density(y, batch.scores, bandwidth=bandwidth)
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
 
@@ -302,7 +263,7 @@ def run_case(config: RunConfig) -> dict:
     info_rep = info_processing_check(f_y, f_x)
 
     # gradient vs likelihood-ratio finite differences at every threshold
-    fd_check = _fd_check(case, model, batch, gvals, config.fd_rel_step, config.percentiles)
+    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step)
 
     # perturbation bound on paired common-random-number runs
     if config.perturbations is not None:
@@ -312,13 +273,12 @@ def run_case(config: RunConfig) -> dict:
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
-    pf_base = _pf_at_thresholds(gvals, zs, case.direction)
+    pf_base = np.array([r.p_f for r in curve])
     for db in dbs:
         shifted = model.shifted(db)
         batch_p = sample(shifted, n, config.seed)
-        outputs_p = evaluate_outputs(case.h, batch_p.draws, workers=config.workers)
-        gvals_p = np.asarray(g(outputs_p), dtype=float)
-        pf_p = _pf_at_thresholds(gvals_p, zs, case.direction)
+        y_p = evaluate_outputs(case.h, batch_p.draws, workers=config.workers) / scale
+        pf_p = _threshold_sums(case.g(y_p), zs, case.direction)[0] / n
         viol_x = viol_y = 0
         worst = None
         for pb, pp in zip(pf_base, pf_p):
@@ -343,10 +303,7 @@ def run_case(config: RunConfig) -> dict:
         )
         # reuse the all-positive perturbation pair for the KL consistency block
         if kl_block is None and np.all(db > 0):
-            dens_p = outputs_p / normalizers if case.name == "beam" else outputs_p
-            dg_p = estimate_output_density(
-                dens_p, batch_p.scores, bandwidth=dg.bandwidth, axes=dg.axes
-            )
+            dg_p = estimate_output_density(y_p, batch_p.scores, bandwidth=dg.bandwidth, axes=dg.axes)
             kl_fwd = estimate_kl(dg, dg_p)
             kl_rev = estimate_kl(dg_p, dg)
             kl_block = {
@@ -382,55 +339,37 @@ def run_case(config: RunConfig) -> dict:
         },
         "provenance": {
             "package_version": _VERSION,
-            "seed": int(config.seed),
-            "n_samples": int(config.n_samples),
+            "seed": config.seed,
+            "n_samples": config.n_samples,
             "config": config.provenance_dict(),
         },
         "_density_grid": dg,  # stripped before serialisation
     }
 
 
-def _fd_check(case, model, batch, gvals, rel_step, percentiles) -> dict:
-    """Compare the score-weighted gradient against likelihood-ratio central
-    differences on the same draws, at every configured threshold.
+def _fd_check(case, batch, gvals, curve, percentiles, rel_step) -> dict:
+    """Compare the curve's score-weighted gradients against likelihood-ratio
+    central differences on the same draws, at every threshold.
 
-    Same estimator as :func:`probsens.mclr.estimate_gradient_fd`; the
-    per-sample weight differences are threshold-independent, so they are
-    built once per parameter and every threshold reduces to a masked mean.
     Components with |value| <= 0.1 are skipped (relative error of a
     near-zero quantity is uninformative).
     """
-    steps = rel_step * model.param_scales()
-    base_logp = model.logpdf(batch.draws)
-    wdiff = np.empty((model.n_params, batch.n))
-    for j in range(model.n_params):
-        db = np.zeros(model.n_params)
-        db[j] = steps[j]
-        w_plus = np.exp(model.shifted(db).logpdf(batch.draws) - base_logp)
-        w_minus = np.exp(model.shifted(-db).logpdf(batch.draws) - base_logp)
-        wdiff[j] = (w_plus - w_minus) / (2.0 * steps[j])
-
-    detail = []
-    max_rel = 0.0
-    for pct in percentiles:
-        z = float(np.percentile(gvals, pct))
-        above = gvals > z
-        ind = (above if case.direction == "above" else ~above).astype(float)
-        grad = (ind[:, None] * batch.scores).mean(axis=0)
-        fd = wdiff @ ind / batch.n
-        rels = [abs(gj - fj) / abs(gj) for gj, fj in zip(grad, fd) if abs(gj) > 0.1]
-        if rels:
-            max_rel = max(max_rel, max(rels))
-        if pct in range(10, 100, 10):  # keep the report compact
-            detail.append(
-                {
-                    "percentile": pct,
-                    "z": z,
-                    "gradient": [float(v) for v in grad],
-                    "fd": [float(v) for v in fd],
-                }
-            )
-    return {"rel_step": rel_step, "max_rel_err": max_rel, "thresholds": detail}
+    zs = np.array([r.z for r in curve])
+    grads = np.array([r.gradient for r in curve])
+    fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=rel_step)
+    big = np.abs(grads) > 0.1
+    rels = np.abs(grads - fds)[big] / np.abs(grads[big])
+    detail = [
+        {
+            "percentile": pct,
+            "z": float(z),
+            "gradient": [float(v) for v in grad],
+            "fd": [float(v) for v in fd],
+        }
+        for pct, z, grad, fd in zip(percentiles, zs, grads, fds)
+        if pct in range(10, 100, 10)  # keep the report compact
+    ]
+    return {"rel_step": rel_step, "max_rel_err": float(rels.max(initial=0.0)), "thresholds": detail}
 
 
 def _run_discrete_oracle(config: RunConfig) -> dict:
@@ -463,7 +402,7 @@ def _run_discrete_oracle(config: RunConfig) -> dict:
         "worst_margin": worst_margin,
         "provenance": {
             "package_version": _VERSION,
-            "seed": int(config.seed),
+            "seed": config.seed,
             "config": config.provenance_dict(),
         },
     }
@@ -557,7 +496,6 @@ def verify(
     the test suite to prove the gradient/finite-difference check can fail.
     """
     from .distributions import ScoredSampleBatch
-    from .mclr import FailureSpec, estimate_gradient
 
     failures = []
 
@@ -577,8 +515,8 @@ def verify(
         if _negate_scores:
             batch = ScoredSampleBatch(draws=batch.draws, scores=-batch.scores, seed=seed)
         outputs = evaluate_outputs(case.h, batch.draws)
-        g = case.make_g(outputs)
-        gvals = np.asarray(g(outputs), dtype=float)
+        y = outputs / case.scale(outputs)
+        gvals = case.g(y)
 
         # zero-mean score, self-normalised to 5 standard errors
         mean = batch.scores.mean(axis=0)
@@ -586,10 +524,10 @@ def verify(
         check(f"{case_name}: zero-mean scores", bool(np.all(np.abs(mean) <= 5.0 * se)))
 
         # bound chain
-        dg = estimate_output_density(outputs, batch.scores)
+        dg = estimate_output_density(y, batch.scores)
         f_y = estimate_output_fim(dg)
         f_x = case.model.fim()
-        curve = sensitivity_curve(case.h, g, cfg.percentiles, batch, case.direction, outputs=outputs)
+        curve = sensitivity_curve(case.h, case.g, cfg.percentiles, batch, case.direction, outputs=y)
         norms = np.array([r.grad_norm_sq for r in curve])
         check(
             f"{case_name}: sensitivity chain",
@@ -597,16 +535,8 @@ def verify(
             f"max norm^2 {norms.max():.3g} <= tr_Fy {f_y.trace:.5g} <= tr_Fx {f_x.trace:.5g}",
         )
 
-        # gradient vs likelihood-ratio finite differences
-        max_rel = 0.0
-        for pct in (25, 50, 75):
-            z = float(np.percentile(gvals, pct))
-            spec = FailureSpec(g=lambda v: np.asarray(v, dtype=float), z=z, direction=case.direction)
-            res = estimate_gradient(lambda x: gvals, spec, batch, outputs=gvals)
-            fd = estimate_gradient_fd(lambda x: gvals, spec, case.model, batch, outputs=gvals)
-            for gj, fj in zip(res.gradient, fd):
-                if abs(gj) > 0.1:
-                    max_rel = max(max_rel, abs(gj - fj) / abs(gj))
+        # gradient vs likelihood-ratio finite differences, as in run_case
+        max_rel = _fd_check(case, batch, gvals, curve, cfg.percentiles, cfg.fd_rel_step)["max_rel_err"]
         check(f"{case_name}: gradient vs finite differences", max_rel < 0.02, f"max rel err {max_rel:.2e}")
 
         if case_name == "identity":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
-from probsens.mclr import DensityGrid
+from probsens.mclr import DensityGrid, _threshold_sums
 
 IDENTITY = ps.InputModel((ps.normal(1.0, 0.2),))
 H = staticmethod(lambda x: x[:, 0])
@@ -22,37 +22,36 @@ def batch():
 
 
 def test_pf_threshold_below_all_samples(batch):
-    spec = ps.FailureSpec(g=g_scalar, z=-100.0, direction="above")
-    pf, se = ps.estimate_pf(identity_h, spec, batch)
-    assert pf == 1.0
-    assert se == 0.0
+    counts, _ = _threshold_sums(batch.draws[:, 0], [-100.0], "above")
+    assert counts[0] / batch.n == 1.0
 
 
 def test_pf_at_mean_by_symmetry(batch):
-    spec = ps.FailureSpec(g=g_scalar, z=1.0, direction="below")
-    pf, se = ps.estimate_pf(identity_h, spec, batch)
-    assert abs(pf - 0.5) <= 3 * se
+    counts, _ = _threshold_sums(batch.draws[:, 0], [1.0], "below")
+    pf = counts[0] / batch.n
+    assert abs(pf - 0.5) <= 3 * np.sqrt(pf * (1.0 - pf) / batch.n)
 
 
 def test_pf_at_median_is_half(batch):
     z = float(np.median(batch.draws[:, 0]))
     for direction in ("above", "below"):
-        pf, _ = ps.estimate_pf(identity_h, ps.FailureSpec(g=g_scalar, z=z, direction=direction), batch)
-        assert abs(pf - 0.5) <= 1.0 / batch.n + 1e-12
+        counts, _ = _threshold_sums(batch.draws[:, 0], [z], direction)
+        assert abs(counts[0] / batch.n - 0.5) <= 1.0 / batch.n + 1e-12
 
 
 def test_gradient_is_mean_score_when_always_failing(batch):
-    spec = ps.FailureSpec(g=g_scalar, z=-100.0, direction="above")
-    res = ps.estimate_gradient(identity_h, spec, batch)
-    assert res.p_f == 1.0
+    counts, sums = _threshold_sums(batch.draws[:, 0], [-100.0], "above", batch.scores)
+    assert counts[0] == batch.n
     # P_f == 1 is parameter independent; gradient is the (zero-mean) score mean
-    assert np.all(np.abs(res.gradient) <= 5 * res.grad_std_err)
+    grad = sums[0] / batch.n
+    assert np.allclose(grad, batch.scores.mean(axis=0), rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(grad) <= 5 * batch.scores.std(axis=0, ddof=1) / np.sqrt(batch.n))
 
 
 def test_gradient_closed_form_at_mean(batch):
     # CDF convention at z = mu: d/dmu = -p(mu) = -1.9947, d/dsigma = 0
-    spec = ps.FailureSpec(g=g_scalar, z=1.0, direction="below")
-    res = ps.estimate_gradient(identity_h, spec, batch)
+    (res,) = ps.sensitivity_curve(identity_h, g_scalar, [50.0], batch, direction="below")
+    assert abs(res.z - 1.0) < 0.01
     assert res.gradient[0] == pytest.approx(-1.9947, rel=0.02)
     assert abs(res.gradient[1]) <= 5 * res.grad_std_err[1]
     assert res.grad_norm_sq == pytest.approx(float(res.gradient @ res.gradient))
@@ -60,11 +59,10 @@ def test_gradient_closed_form_at_mean(batch):
 
 def test_gradient_vs_fd_step_1e3(batch):
     # explicit 1e-3 steps; agreement wherever |component| > 0.1
-    for pct in (10, 30, 50, 70, 90):
-        z = float(np.percentile(batch.draws[:, 0], pct))
-        spec = ps.FailureSpec(g=g_scalar, z=z, direction="below")
-        res = ps.estimate_gradient(identity_h, spec, batch)
-        fd = ps.estimate_gradient_fd(identity_h, spec, IDENTITY, batch, steps=[1e-3, 1e-3])
+    curve = ps.sensitivity_curve(identity_h, g_scalar, (10, 30, 50, 70, 90), batch, direction="below")
+    zs = [res.z for res in curve]
+    fds = ps.estimate_gradient_fd(batch.draws[:, 0], zs, IDENTITY, batch, "below", steps=[1e-3, 1e-3])
+    for res, fd in zip(curve, fds):
         for gj, fj in zip(res.gradient, fd):
             if abs(gj) > 0.1:
                 assert abs(gj - fj) / abs(gj) < 0.02
@@ -106,6 +104,22 @@ def test_curve_rejects_unknown_direction(batch):
 def test_degenerate_output_flagged(batch):
     with pytest.warns(RuntimeWarning, match="degenerate"):
         ps.sensitivity_curve(identity_h, lambda v: np.zeros(len(v)), [50.0], batch)
+
+
+def test_curve_rejects_nonfinite_performance(batch):
+    # a sort would count NaN rows as exceedances; the sweep must fail closed
+    def half_nan(v):
+        gv = np.array(v, dtype=float)
+        gv[3::2] = np.nan
+        return gv
+
+    for direction in ("above", "below"):
+        with pytest.raises(ps.EvaluationError, match="row 3"):
+            ps.sensitivity_curve(identity_h, half_nan, [50.0], batch, direction=direction)
+    gv = batch.draws[:, 0].copy()
+    gv[7] = -np.inf
+    with pytest.raises(ps.EvaluationError, match="row 7"):
+        ps.estimate_gradient_fd(gv, [1.0], IDENTITY, batch, "below")
 
 
 def test_nonfinite_output_reports_draw_index():

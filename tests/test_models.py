@@ -46,9 +46,8 @@ def test_identity_norm_decays_in_both_tails():
 def test_identity_gradient_matches_mclr():
     m = ps.InputModel((ps.normal(1.0, 0.2),))
     b = ps.sample(m, 100000, seed=1)
-    spec = ps.FailureSpec(g=lambda v: np.asarray(v, dtype=float), z=1.0, direction="below")
-    est = ps.estimate_gradient(lambda x: x[:, 0], spec, b)
-    exact = identity_analytic(1.0, 0.2, 1.0)
+    (est,) = ps.sensitivity_curve(lambda x: x[:, 0], lambda v: v, [50.0], b, direction="below")
+    exact = identity_analytic(1.0, 0.2, est.z)
     assert est.gradient[0] == pytest.approx(float(exact.d_mu), rel=0.02)
     assert abs(est.gradient[1] - float(exact.d_sigma)) <= 5 * est.grad_std_err[1]
 

@@ -29,6 +29,11 @@ def test_config_validation():
         RunConfig(case="identity", n_samples=500)  # too small for density grids
     with pytest.raises(ps.ConfigError):
         RunConfig(case="identity", workers=0)
+    # no silent truncation of a fractional count, no raw TypeError for a string
+    for key, bad in (("n_samples", 4000.5), ("n_samples", "4000"), ("workers", 1.5), ("workers", "2")):
+        with pytest.raises(ps.ConfigError, match=f"{key} must be an integer"):
+            RunConfig(case="identity", **{key: bad})
+    assert RunConfig(case="identity", n_samples=np.int64(4000)).to_dict()["n_samples"] == 4000
 
 
 def test_config_rejects_empty_percentiles():
@@ -167,12 +172,17 @@ def test_verify_passes_and_mutation_fails(capsys):
     assert "[FAIL] identity: gradient vs finite differences" in out
 
 
-def test_cli_print_config_round_trip(capsys):
+def test_cli_print_config_round_trip(tmp_path, capsys):
     assert main(["print-config", "--case", "beam", "--samples", "5000"]) == 0
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["case"] == "beam"
     assert cfg["n_samples"] == 5000
     RunConfig.from_dict(cfg)  # validates
+    # a config file is read, not replaced by the identity default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": "beam", "seed": 3}))
+    assert main(["print-config", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == RunConfig(case="beam", seed=3).to_dict()
 
 
 def test_cli_run_with_config_file(tmp_path, capsys):
