@@ -27,12 +27,10 @@ from .distributions import (
     MarginalSpec,
     ParamVector,
     ScoredSampleBatch,
-    analytic_fim,
     joint_score_and_fim,
     lognormal,
     normal,
     sample,
-    score,
 )
 from .errors import (
     ConfigError,
@@ -73,7 +71,6 @@ __all__ = [
     "ScoredSampleBatch",
     "SensitivityResult",
     "SupportError",
-    "analytic_fim",
     "binomial_family",
     "check_perturbation_bound",
     "check_sensitivity_bound",
@@ -92,7 +89,6 @@ __all__ = [
     "normal",
     "pinsker_check",
     "sample",
-    "score",
     "sensitivity_curve",
     "titu",
 ]

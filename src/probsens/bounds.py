@@ -344,14 +344,6 @@ def kl_quadratic_consistency(fim: FisherMatrix, db, kl_direct: float) -> float:
     return abs(kl_direct - half_quad) / half_quad
 
 
-def kl_error_scaling_slope(rel_errors, scales) -> float:
-    """Log-log slope of relative error against perturbation scale."""
-    x = np.log(np.asarray(scales, dtype=float))
-    y = np.log(np.asarray(rel_errors, dtype=float))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope
-
-
 def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     """Exact Normal pdf evaluated on a grid (for oracle density pairs)."""
     z = (axis - mu) / sigma

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ProbsensError
 from .runner import CASES, RunConfig, run, verify
 
 
@@ -89,8 +89,9 @@ def main(argv=None) -> int:
         if code != 0:
             print("BOUND VIOLATION: see report.json for details", file=sys.stderr)
         return code
-    except ConfigError as exc:
-        parser.error(str(exc))  # exits 2
+    except (ProbsensError, OSError) as exc:
+        # exit 1 means a violated bound and nothing else
+        parser.error(str(exc))
         return 2
 
 

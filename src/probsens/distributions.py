@@ -45,12 +45,6 @@ class MarginalSpec:
 
     # -- support ------------------------------------------------------------
 
-    def in_support(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == "lognormal":
-            return x > 0.0
-        return np.isfinite(x)
-
     def _require_support(self, x: np.ndarray) -> None:
         if self.family == "lognormal" and np.any(x <= 0.0):
             raise SupportError("lognormal support is x > 0")
@@ -100,16 +94,6 @@ def normal(mu: float, sigma: float) -> MarginalSpec:
 
 def lognormal(mu: float, sigma: float) -> MarginalSpec:
     return MarginalSpec("lognormal", mu, sigma)
-
-
-def score(spec: MarginalSpec, x) -> tuple[float, float]:
-    """Score of a single point, returned as a (d/dmu, d/dsigma) pair."""
-    s = spec.score(x)
-    return float(s[..., 0]), float(s[..., 1])
-
-
-def analytic_fim(spec: MarginalSpec) -> FisherMatrix:
-    return spec.fim()
 
 
 @dataclass(frozen=True)

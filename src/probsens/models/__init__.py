@@ -4,8 +4,6 @@ from .beam import (
     BeamConfig,
     beam_mode_shape,
     beam_natural_frequencies,
-    beam_performance,
-    beam_rms,
     beam_rms_ensemble,
     beam_roots,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "IdentityAnalytic",
     "beam_mode_shape",
     "beam_natural_frequencies",
-    "beam_performance",
-    "beam_rms",
     "beam_rms_ensemble",
     "beam_roots",
     "identity_analytic",

@@ -238,19 +238,3 @@ def beam_rms_ensemble(e, rho, cfg: BeamConfig) -> np.ndarray:
         out[start:stop, 0] = np.sqrt(np.maximum(acc_sq, 0.0).max(axis=1))
         out[start:stop, 1] = np.sqrt(np.maximum(str_sq, 0.0).max(axis=1))
     return out
-
-
-def beam_rms(e: float, rho: float, cfg: BeamConfig) -> tuple[float, float]:
-    """Peak r.m.s. (acceleration, strain) of a single beam realisation."""
-    row = beam_rms_ensemble(np.array([e]), np.array([rho]), cfg)[0]
-    return float(row[0]), float(row[1])
-
-
-def beam_performance(y_acc_peak, y_str_peak, normalizers) -> np.ndarray:
-    """Squared-sum performance of the normalised peak responses."""
-    na, ns = float(normalizers[0]), float(normalizers[1])
-    if na <= 0.0 or ns <= 0.0:
-        raise ParameterDomainError("normalizers must be positive")
-    y_acc = np.asarray(y_acc_peak, dtype=float)
-    y_str = np.asarray(y_str_peak, dtype=float)
-    return (y_acc / na) ** 2 + (y_str / ns) ** 2

@@ -16,8 +16,10 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,9 +33,8 @@ from .bounds import (
     discrete_simplex_oracle,
     info_processing_check,
     kl_quadratic_consistency,
-    pinsker_check,
-    titu,
 )
+from .criteria import evaluate, theorem_suites
 from .distributions import InputModel, lognormal, normal, sample
 from .errors import ConfigError
 from .mclr import (
@@ -45,7 +46,7 @@ from .mclr import (
     evaluate_outputs,
     sensitivity_curve,
 )
-from .models import beam_rms_ensemble, identity_analytic, sho_response
+from .models import beam_rms_ensemble, sho_response
 from .models.beam import BeamConfig
 
 CASES = ("identity", "sho", "beam", "discrete-oracle")
@@ -64,6 +65,30 @@ _BEAM_KEYS = (
     "omega_hi",
 )
 _ORACLE_KEYS = ("n_trials", "thetas", "dtheta")
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _real(name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: {value!r} is not a number")
+    return float(value)
+
+
+def _list(name: str, values, item=_real) -> list:
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return [item(name, v) for v in values]
+
+
+# how each beam and oracle override is converted
+_OVERRIDES = {k: _integer if k.startswith("n_") else _real for k in _BEAM_KEYS}
+_OVERRIDES.update(n_trials=_integer, thetas=_list, dtheta=_real)
 
 
 @dataclass
@@ -89,10 +114,14 @@ class RunConfig:
         if self.n_samples is None:
             self.n_samples = 20000 if self.case == "beam" else 100000
         for name in ("n_samples", "workers", "seed"):
-            try:
-                setattr(self, name, operator.index(getattr(self, name)))
-            except TypeError as exc:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from exc
+            setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("perturbation_scale", "fd_rel_step"):
+            setattr(self, name, _real(name, getattr(self, name)))
+        self.percentiles = _list("percentiles", self.percentiles)
+        if self.bandwidth is not None:
+            self.bandwidth = _list("bandwidth", self.bandwidth)
+        if self.perturbations is not None:
+            self.perturbations = _list("perturbations", self.perturbations, item=_list)
         if self.case != "discrete-oracle" and self.n_samples < 1000:
             raise ConfigError("n_samples must be >= 1000 (density estimation needs it)")
         if self.workers < 1:
@@ -103,17 +132,18 @@ class RunConfig:
             raise ConfigError("fd_rel_step must be in (0, 0.1)")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        self.percentiles = [float(p) for p in self.percentiles]
         if not self.percentiles:
             raise ConfigError("percentiles must not be empty")
         if any(not 0.0 < p < 100.0 for p in self.percentiles):
             raise ConfigError("percentiles must lie strictly inside (0, 100)")
-        unknown = set(self.beam) - set(_BEAM_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown beam keys {sorted(unknown)}; allowed {_BEAM_KEYS}")
-        unknown = set(self.oracle) - set(_ORACLE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown oracle keys {sorted(unknown)}; allowed {_ORACLE_KEYS}")
+        for name, keys in (("beam", _BEAM_KEYS), ("oracle", _ORACLE_KEYS)):
+            overrides = getattr(self, name)
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"{name} must be an object, got {overrides!r}")
+            unknown = set(overrides) - set(keys)
+            if unknown:
+                raise ConfigError(f"unknown {name} keys {sorted(unknown)}; allowed {keys}")
+            setattr(self, name, {k: _OVERRIDES[k](f"{name}.{k}", v) for k, v in overrides.items()})
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -137,10 +167,6 @@ class RunConfig:
         d.pop("out_dir")
         d.pop("workers")
         return d
-
-
-def default_config(case: str = "identity") -> RunConfig:
-    return RunConfig(case=case)
 
 
 def _beam_config(overrides: dict) -> BeamConfig:
@@ -374,9 +400,9 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step) -> dict:
 
 def _run_discrete_oracle(config: RunConfig) -> dict:
     """Exhaustive failure-set enumeration for the binomial family."""
-    n_trials = int(config.oracle.get("n_trials", 5))
-    thetas = [float(t) for t in config.oracle.get("thetas", (0.2, 0.5, 0.8))]
-    dtheta = float(config.oracle.get("dtheta", 1e-3))
+    n_trials = config.oracle.get("n_trials", 5)
+    thetas = list(config.oracle.get("thetas", (0.2, 0.5, 0.8)))
+    dtheta = config.oracle.get("dtheta", 1e-3)
     cells = n_trials + 1
     instances = 0
     violations = 0
@@ -478,25 +504,18 @@ def run(config: RunConfig) -> tuple[dict, int]:
     return report, (0 if report["all_bounds_satisfied"] else 1)
 
 
-# ---------------------------------------------------------------------------
-# reduced-scale invariant suite
-
-
 def verify(
     n_samples: int = 20000,
     seed: int = 1,
     cases: tuple[str, ...] = ("identity", "sho"),
-    _negate_scores: bool = False,
     log: Callable[[str], None] = print,
 ) -> int:
     """Run the invariant suite at reduced sample count; returns an exit code.
 
-    The closed-form tolerances scale with 1/sqrt(N) from their full-scale
-    values at N = 1e5.  ``_negate_scores`` is a fault-injection hook used by
-    the test suite to prove the gradient/finite-difference check can fail.
+    Each case is one :func:`run_case` judged by :mod:`probsens.criteria`, whose
+    Monte-Carlo tolerances widen by sqrt(1e5 / N); the input-level score
+    checks, the theorem suites and the discrete oracle run as well.
     """
-    from .distributions import ScoredSampleBatch
-
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -505,110 +524,39 @@ def verify(
         if not ok:
             failures.append(name)
 
-    tol_scale = math.sqrt(1e5 / n_samples)
-    rng = np.random.default_rng(seed)
-
     for case_name in cases:
-        cfg = RunConfig(case=case_name, n_samples=n_samples, seed=seed, percentiles=list(range(5, 100, 5)))
-        case = build_case(cfg)
-        batch = sample(case.model, n_samples, seed)
-        if _negate_scores:
-            batch = ScoredSampleBatch(draws=batch.draws, scores=-batch.scores, seed=seed)
-        outputs = evaluate_outputs(case.h, batch.draws)
-        y = outputs / case.scale(outputs)
-        gvals = case.g(y)
+        cfg = RunConfig(case=case_name, n_samples=n_samples, seed=seed)
 
         # zero-mean score, self-normalised to 5 standard errors
-        mean = batch.scores.mean(axis=0)
-        se = batch.scores.std(axis=0, ddof=1) / math.sqrt(n_samples)
-        check(f"{case_name}: zero-mean scores", bool(np.all(np.abs(mean) <= 5.0 * se)))
+        scores = sample(build_case(cfg).model, n_samples, seed).scores
+        se = scores.std(axis=0, ddof=1) / math.sqrt(n_samples)
+        check(f"{case_name}: zero-mean scores", bool(np.all(np.abs(scores.mean(axis=0)) <= 5.0 * se)))
 
-        # bound chain
-        dg = estimate_output_density(y, batch.scores)
-        f_y = estimate_output_fim(dg)
-        f_x = case.model.fim()
-        curve = sensitivity_curve(case.h, case.g, cfg.percentiles, batch, case.direction, outputs=y)
-        norms = np.array([r.grad_norm_sq for r in curve])
-        check(
-            f"{case_name}: sensitivity chain",
-            bool(np.all(norms <= f_y.trace) and f_y.trace <= f_x.trace),
-            f"max norm^2 {norms.max():.3g} <= tr_Fy {f_y.trace:.5g} <= tr_Fx {f_x.trace:.5g}",
-        )
-
-        # gradient vs likelihood-ratio finite differences, as in run_case
-        max_rel = _fd_check(case, batch, gvals, curve, cfg.percentiles, cfg.fd_rel_step)["max_rel_err"]
-        check(f"{case_name}: gradient vs finite differences", max_rel < 0.02, f"max rel err {max_rel:.2e}")
-
-        if case_name == "identity":
-            zs = np.array([r.z for r in curve])
-            pfs = np.array([r.p_f for r in curve])
-            exact = identity_analytic(1.0, 0.2, zs).norm_sq
-            mask = (pfs >= 0.05) & (pfs <= 0.95)
-            rel = np.abs(norms[mask] - exact[mask]) / exact[mask]
-            tol = 0.05 * tol_scale
-            check("identity: norm^2 matches closed form", bool(rel.max() < tol), f"max rel {rel.max():.3f} < {tol:.3f}")
-
-            db = cfg.perturbation_scale * case.model.param_scales()
-            batch_p = sample(case.model.shifted(db), n_samples, seed)
-            dg_p = estimate_output_density(
-                batch_p.draws[:, 0], batch_p.scores, bandwidth=dg.bandwidth, axes=dg.axes
-            )
-            kl_f = estimate_kl(dg, dg_p)
-            kl_r = estimate_kl(dg_p, dg)
-            err = max(
-                kl_quadratic_consistency(f_x, db, kl_f), kl_quadratic_consistency(f_x, db, kl_r)
-            )
-            check("identity: KL quadratic consistency", err < 0.05 * tol_scale, f"max rel {err:.3f}")
+        for name, value, tol, ok in evaluate(run_case(cfg)):
+            check(f"{case_name}: {name}", ok, f"{value:.3g}, tolerance {tol:.3g}")
 
     # score formulas against log-density differences
-    from .distributions import MarginalSpec
-
+    rng = np.random.default_rng(seed)
     max_rel = 0.0
     for spec_m in (normal(1.0, 0.2), normal(0.0, 1.0), lognormal(24.85, 0.47), lognormal(0.0, 1.0)):
         x = spec_m.ppf(rng.uniform(0.05, 0.95, size=64))
         s = spec_m.score(x)
         for j, name in enumerate(("mu", "sigma")):
-            hstep = 1e-6 * max(1.0, abs(getattr(spec_m, name)))
-            hi = MarginalSpec(
-                spec_m.family,
-                spec_m.mu + (hstep if j == 0 else 0.0),
-                spec_m.sigma + (hstep if j == 1 else 0.0),
-            )
-            lo = MarginalSpec(
-                spec_m.family,
-                spec_m.mu - (hstep if j == 0 else 0.0),
-                spec_m.sigma - (hstep if j == 1 else 0.0),
-            )
+            value = getattr(spec_m, name)
+            hstep = 1e-6 * max(1.0, abs(value))
+            hi = replace(spec_m, **{name: value + hstep})
+            lo = replace(spec_m, **{name: value - hstep})
             fd = (hi.logpdf(x) - lo.logpdf(x)) / (2.0 * hstep)
             rel = np.abs(s[:, j] - fd) / np.maximum(np.abs(fd), 1e-12)
             max_rel = max(max_rel, float(rel.max()))
     check("scores match log-density finite differences", max_rel < 1e-6, f"max rel {max_rel:.2e}")
 
-    # theorem property suites
-    ok = True
-    for _ in range(1000):
-        k = int(rng.integers(2, 12))
-        u = rng.uniform(0.0, 10.0, size=k)
-        v = rng.uniform(0.1, 10.0, size=k)
-        lhs, rhs, sat = titu(u, v)
-        ok &= sat
-    check("Titu inequality (1000 random instances)", ok)
+    for name, ok in theorem_suites(rng).items():
+        check(name, ok)
 
-    ok = True
-    for _ in range(1000):
-        k = int(rng.integers(2, 11))
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k)) + 1e-9
-        q = q / q.sum()
-        ok &= pinsker_check(p, q).satisfied
-    check("Pinsker inequality (1000 random simplex pairs)", ok)
-
-    oracle_report = _run_discrete_oracle(RunConfig(case="discrete-oracle", seed=seed))
-    check(
-        "discrete simplex oracle (exhaustive binomial)",
-        oracle_report["violations"] == 0,
-        f"{oracle_report['instances']} instances",
-    )
+    oracle = run_case(RunConfig(case="discrete-oracle", seed=seed))
+    ok = oracle["violations"] == 0
+    check("discrete simplex oracle (exhaustive binomial)", ok, f"{oracle['instances']} instances")
 
     if failures:
         log(f"{len(failures)} verification check(s) failed: {failures}")

@@ -6,14 +6,10 @@ pass/fail lines.  The three case studies execute once at full scale
 module-scoped fixtures; the criteria assert against those reports.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
-import probsens as ps
-from probsens.bounds import kl_error_scaling_slope, normal_pdf_grid
-from probsens.mclr import DensityGrid
+from probsens.criteria import evaluate, theorem_suites
 from probsens.models import beam_roots, identity_analytic, identity_stationarity
 from probsens.runner import RunConfig, run, run_case
 
@@ -43,35 +39,27 @@ def beam_report():
     return run_case(RunConfig(case="beam", seed=SEED))
 
 
-def _chain_violations(report) -> int:
-    bad = sum(not r["norm_le_tr_fy"] for r in report["rows"])
-    bad += report["tr_fy"] > report["tr_fx"] + 1e-12 * report["tr_fx"]
-    return bad
+def _table(num: int, desc: str, report, *names: str):
+    """The named entries of the criteria table, at the report's sample count."""
+    outcomes = [o for o in evaluate(report) if o.name in names]
+    assert sorted(o.name for o in outcomes) == sorted(names)
+    detail = ", ".join(f"{o.name} {o.value:.4g} vs {o.tol:.4g}" for o in outcomes)
+    _criterion(num, desc, all(o.ok for o in outcomes), detail)
+
+
+_TRACE_AND_CHAIN = ("tr_Fx vs closed form", "sensitivity chain violations")
 
 
 def test_criterion_1_identity_closed_form(identity_report):
-    rep = identity_report
-    zs = np.array([r["z"] for r in rep["rows"]])
-    pfs = np.array([r["p_f"] for r in rep["rows"]])
-    norms = np.array([r["grad_norm_sq"] for r in rep["rows"]])
-    exact = identity_analytic(1.0, 0.2, zs).norm_sq
-    mask = (pfs >= 0.05) & (pfs <= 0.95)
-    rel = np.abs(norms[mask] - exact[mask]) / exact[mask]
-    peak = norms.max()
-    peak_exact = 1.0 / (2.0 * np.pi * 0.2**2)
-    ok = (
-        rel.max() < 0.05
-        and abs(peak - peak_exact) / peak_exact < 0.05
-        and abs(rep["tr_fx"] - 75.0) < 1e-9
-        and _chain_violations(rep) == 0
-        and rep["all_bounds_satisfied"]
-    )
-    _criterion(
+    _table(
         1,
-        "identity curve matches closed forms, trace 75, zero violations",
-        ok,
-        f"max rel {rel.max():.4f}, peak {peak:.4f} vs {peak_exact:.4f}",
+        "identity curve matches closed forms, trace closed form, zero violations",
+        identity_report,
+        *_TRACE_AND_CHAIN,
+        "norm^2 vs closed form",
+        "peak norm^2 vs closed form",
     )
+    assert identity_report["all_bounds_satisfied"]
 
 
 def test_criterion_2_stationary_point():
@@ -84,80 +72,34 @@ def test_criterion_2_stationary_point():
 
 
 def test_criterion_3_sho_chain(sho_report):
-    rep = sho_report
-    ok = (
-        len(rep["rows"]) == 99
-        and abs(rep["tr_fx"] - 30300.0) < 1e-9
-        and _chain_violations(rep) == 0
-        and rep["all_bounds_satisfied"]
-    )
-    _criterion(
-        3,
-        "oscillator chain norm^2 <= tr_Fy <= tr_Fx = 30300 at 99 thresholds",
-        ok,
-        f"tr_Fy {rep['tr_fy']:.1f}",
-    )
+    assert len(sho_report["rows"]) == 99
+    _table(3, "oscillator chain norm^2 <= tr_Fy <= tr_Fx at 99 thresholds", sho_report, *_TRACE_AND_CHAIN)
+    assert sho_report["all_bounds_satisfied"]
 
 
 def test_criterion_4_beam_chain_and_roots(beam_report):
-    rep = beam_report
-    roots = beam_roots(3)
-    trace_expected = 3.0 / 0.47**2 + 3.0 / 0.2**2
-    ok = (
-        rep["provenance"]["n_samples"] >=  20000
-        and abs(rep["tr_fx"] - trace_expected) < 1e-9
-        and np.allclose(roots, [1.875, 4.694, 7.855], atol=1e-3)
-        and _chain_violations(rep) == 0
-        and rep["all_bounds_satisfied"]
+    assert beam_report["provenance"]["n_samples"] >= 20000
+    assert np.allclose(beam_roots(3), [1.875, 4.694, 7.855], atol=1e-3)
+    _table(
+        4, "beam chain holds, tr_Fx closed form, characteristic roots reproduced", beam_report, *_TRACE_AND_CHAIN
     )
-    _criterion(
-        4,
-        "beam chain holds, tr_Fx = 88.58, characteristic roots reproduced",
-        ok,
-        f"tr_Fx {rep['tr_fx']:.4f}, tr_Fy {rep['tr_fy']:.4f}",
-    )
+    assert beam_report["all_bounds_satisfied"]
 
 
 @pytest.mark.parametrize("case_name", ["identity", "sho", "beam"])
 def test_criterion_5_perturbation_bound(case_name, identity_report, sho_report, beam_report):
     rep = {"identity": identity_report, "sho": sho_report, "beam": beam_report}[case_name]
-    viols = sum(p["violations_fx"] + p["violations_fy"] for p in rep["perturbations"])
-    n_vectors = len(rep["perturbations"])
-    ok = viols == 0 and n_vectors >= 2 * len(rep["param_names"]) + 2
-    _criterion(
-        5,
-        f"perturbation bound |dPf|^2 <= db^T F db holds for {case_name}",
-        ok,
-        f"{n_vectors} shift vectors, 0 violations",
+    assert len(rep["perturbations"]) >= 2 * len(rep["param_names"]) + 2
+    _table(
+        5, f"perturbation bound |dPf|^2 <= db^T F db holds for {case_name}", rep, "perturbation bound violations"
     )
 
 
-def test_criterion_6_kl_quadratic_consistency(identity_report):
+def test_criterion_6_kl_quadratic_consistency(identity_report, exact_normal_kl_errors):
     kb = identity_report["kl_consistency"]
-    agree = max(kb["rel_err_forward_fx"], kb["rel_err_reverse_fx"]) < 0.05
-
+    agree = {o.name: o.ok for o in evaluate(identity_report)}["KL quadratic consistency"]
     # linear error scaling on exact densities, sigma perturbations, 4 halvings
-    mu, sigma = 1.0, 0.2
-    axes = (np.linspace(mu - 8 * sigma, mu + 8 * sigma, 4096),)
-    fim = ps.FisherMatrix(np.diag([1.0 / sigma**2, 2.0 / sigma**2]))
-
-    def grid(mu_, sigma_):
-        return DensityGrid(
-            axes=axes,
-            density=normal_pdf_grid(axes[0], mu_, sigma_),
-            density_grad=np.zeros((2, axes[0].size)),
-            bandwidth=np.array([0.0]),
-        )
-
-    scales = [0.01 / 2**k for k in range(5)]
-    errs_f, errs_r = [], []
-    for s in scales:
-        db = np.array([s * sigma, s * sigma])
-        base, shifted = grid(mu, sigma), grid(mu + db[0], sigma + db[1])
-        errs_f.append(ps.kl_quadratic_consistency(fim, db, ps.estimate_kl(base, shifted, floor=0.0)))
-        errs_r.append(ps.kl_quadratic_consistency(fim, db, ps.estimate_kl(shifted, base, floor=0.0)))
-    slope_f = kl_error_scaling_slope(errs_f, scales)
-    slope_r = kl_error_scaling_slope(errs_r, scales)
+    (_, slope_f), (_, slope_r) = exact_normal_kl_errors
     ok = agree and slope_f >= 0.8 and slope_r >= 0.8
     _criterion(
         6,
@@ -168,43 +110,22 @@ def test_criterion_6_kl_quadratic_consistency(identity_report):
 
 
 def test_criterion_7_theorem_suites():
-    rng = np.random.default_rng(2024)
-    titu_ok = all(
-        ps.titu(rng.uniform(0, 10, size=k), rng.uniform(1e-3, 10, size=k))[2]
-        for k in rng.integers(2, 16, size=1000)
-    )
-    pinsker_ok = True
-    for _ in range(1000):
-        k = int(rng.integers(2, 11))
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k)) + 1e-12
-        pinsker_ok &= ps.pinsker_check(p, q / q.sum()).satisfied
-    oracle_viol = 0
-    for theta in (0.2, 0.5, 0.8):
-        for r in range(7):
-            for subset in itertools.combinations(range(6), r):
-                fam = ps.binomial_family(5, subset)
-                res = ps.discrete_simplex_oracle(fam, np.array([theta]), np.array([1e-3]))
-                oracle_viol += not (res.bound_eq2.satisfied and res.bound_geometric.satisfied)
-    ok = titu_ok and pinsker_ok and oracle_viol == 0
+    suites = theorem_suites(np.random.default_rng(2024))
+    oracle = run_case(RunConfig(case="discrete-oracle"))
+    ok = all(suites.values()) and oracle["instances"] == 192 and oracle["violations"] == 0
     _criterion(
         7,
         "Titu/Pinsker randomized suites and exhaustive binomial oracle",
         ok,
-        f"192 oracle instances, {oracle_viol} violations",
+        f"{oracle['instances']} oracle instances, {oracle['violations']} violations",
     )
 
 
 @pytest.mark.parametrize("case_name", ["identity", "sho", "beam"])
 def test_criterion_8_gradient_correctness(case_name, identity_report, sho_report, beam_report):
     rep = {"identity": identity_report, "sho": sho_report, "beam": beam_report}[case_name]
-    max_rel = rep["gradient_fd_check"]["max_rel_err"]
-    ok = max_rel < 0.02
-    _criterion(
-        8,
-        f"gradient vs common-random-number finite differences for {case_name}",
-        ok,
-        f"max rel err {max_rel:.2e}",
+    _table(
+        8, f"gradient vs common-random-number finite differences for {case_name}", rep, "gradient vs finite differences"
     )
 
 

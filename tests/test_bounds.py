@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
-from probsens.bounds import kl_error_scaling_slope, normal_pdf_grid
-from probsens.mclr import DensityGrid, SensitivityResult
+from probsens.mclr import SensitivityResult
 
 
 def _result(gradient, z=0.0, p_f=0.5):
@@ -259,34 +258,13 @@ def test_kl_quadratic_consistency_exact_gaussians():
         assert ps.kl_quadratic_consistency(f, np.array([delta]), kl_exact) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_kl_error_halves_with_perturbation():
+def test_kl_error_halves_with_perturbation(exact_normal_kl_errors):
     # sigma perturbations of exact normals carry a genuine O(|db|) remainder
-    mu, sigma = 1.0, 0.2
-    axes = (np.linspace(mu - 8 * sigma, mu + 8 * sigma, 4096),)
-    f = ps.FisherMatrix(np.diag([1.0 / sigma**2, 2.0 / sigma**2]))
-
-    def grid(mu_, sigma_):
-        return DensityGrid(
-            axes=axes,
-            density=normal_pdf_grid(axes[0], mu_, sigma_),
-            density_grad=np.zeros((2, axes[0].size)),
-            bandwidth=np.array([0.0]),
-        )
-
-    scales = [0.01 / 2**k for k in range(5)]
-    errs_fwd, errs_rev = [], []
-    for s in scales:
-        db = np.array([s * sigma, s * sigma])
-        dg0 = grid(mu, sigma)
-        dg1 = grid(mu + db[0], sigma + db[1])
-        # exact densities carry no estimator noise: disable the tail floor
-        errs_fwd.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg0, dg1, floor=0.0)))
-        errs_rev.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg1, dg0, floor=0.0)))
-    for errs in (errs_fwd, errs_rev):
+    for errs, slope in exact_normal_kl_errors:
         ratios = np.array(errs[:-1]) / np.array(errs[1:])
         assert np.all(ratios > 2.0 / 1.5)  # halving db halves the error within 1.5x
         assert np.all(ratios < 2.0 * 1.5)
-        assert kl_error_scaling_slope(errs, scales) >= 0.8
+        assert slope >= 0.8
 
 
 def test_kl_consistency_requires_positive_quadratic_form():

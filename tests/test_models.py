@@ -14,8 +14,6 @@ from probsens.models import (
     BeamConfig,
     beam_mode_shape,
     beam_natural_frequencies,
-    beam_performance,
-    beam_rms,
     beam_rms_ensemble,
     beam_roots,
     identity_analytic,
@@ -24,6 +22,7 @@ from probsens.models import (
     norm_sq_dy,
     sho_response,
 )
+from probsens.runner import RunConfig, build_case
 
 # ---------------------------------------------------------------------------
 # identity case
@@ -170,9 +169,10 @@ def test_natural_frequency_scaling():
 
 def test_beam_rms_deterministic():
     cfg = BeamConfig()
-    a = beam_rms(69e9, 2700.0, cfg)
-    b = beam_rms(69e9, 2700.0, cfg)
-    assert a == b
+    a = beam_rms_ensemble(np.array([69e9]), np.array([2700.0]), cfg)
+    b = beam_rms_ensemble(np.array([69e9]), np.array([2700.0]), cfg)
+    assert a.shape == (1, 2)
+    assert np.array_equal(a, b)
 
 
 def test_beam_ensemble_matches_batching():
@@ -331,18 +331,21 @@ def test_default_span_covers_three_modes():
     assert cfg.omega_span[1] >= 1.2 * w3
 
 
+def _beam_performance(outputs):
+    # the beam case's g on outputs divided by its ensemble scale
+    case = build_case(RunConfig(case="beam"))
+    return case.g(outputs / case.scale(outputs))
+
+
 def test_beam_performance_examples():
-    assert beam_performance(2.0, 3.0, (2.0, 3.0)) == pytest.approx(2.0)
-    assert beam_performance(0.0, 0.0, (1.0, 1.0)) == 0.0
-    with pytest.raises(ps.ParameterDomainError):
-        beam_performance(1.0, 1.0, (0.0, 1.0))
+    outputs = np.array([[2.0, 3.0], [1.0, 1.5], [0.0, 0.0]])
+    assert _beam_performance(outputs).tolist() == pytest.approx([2.0, 0.5, 0.0])
 
 
 def test_beam_performance_ensemble_range():
     rng = np.random.default_rng(5)
     y = np.abs(rng.normal(1.0, 0.3, size=(2000, 2))) + 1e-6
-    normalizers = y.max(axis=0)
-    g = beam_performance(y[:, 0], y[:, 1], normalizers)
+    g = _beam_performance(y)
     assert np.all(g > 0) and np.all(g <= 2.0 + 1e-12)
     assert g.max() <= 2.0 + 1e-12
 

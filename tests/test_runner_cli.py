@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 import probsens as ps
 from probsens.mclr import DensityGrid
 from probsens.cli import main
-from probsens.runner import RunConfig, default_config, run, run_case, verify, write_outputs
+from probsens import criteria, runner
+from probsens.runner import RunConfig, run, run_case, verify, write_outputs
 
 FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
 
@@ -34,6 +36,29 @@ def test_config_validation():
         with pytest.raises(ps.ConfigError, match=f"{key} must be an integer"):
             RunConfig(case="identity", **{key: bad})
     assert RunConfig(case="identity", n_samples=np.int64(4000)).to_dict()["n_samples"] == 4000
+    # every numeric field is converted once; a string is never a number or a list
+    for key, bad in (
+        ("perturbation_scale", "0.1"),
+        ("fd_rel_step", "x"),
+        ("percentiles", "57"),
+        ("percentiles", ["abc"]),
+        ("bandwidth", "ab"),
+        ("bandwidth", [None]),
+        ("perturbations", [0.1, 0.2]),
+        ("perturbations", [["0.1"]]),
+        ("oracle", {"n_trials": "x"}),
+        ("oracle", {"n_trials": 3.7}),
+        ("oracle", {"thetas": "0.5"}),
+        ("oracle", {"dtheta": "1e-3"}),
+        ("beam", {"length": "x"}),
+        ("beam", {"n_freq": 100.5}),
+        ("beam", ["length"]),
+    ):
+        with pytest.raises(ps.ConfigError, match=key):
+            RunConfig(case="identity", **{key: bad})
+    cfg = RunConfig(case="identity", perturbation_scale=1, bandwidth=[np.float32(0.5)], perturbations=[[1, 0]])
+    assert (cfg.perturbation_scale, cfg.bandwidth, cfg.perturbations) == (1.0, [0.5], [[1.0, 0.0]])
+    assert type(RunConfig(case="discrete-oracle", oracle={"n_trials": np.int64(3)}).oracle["n_trials"]) is int
 
 
 def test_config_rejects_empty_percentiles():
@@ -61,7 +86,7 @@ def test_cli_rejects_out_of_range_seed(seed, capsys):
 
 
 def test_default_config_round_trip():
-    cfg = default_config("sho")
+    cfg = RunConfig(case="sho")
     assert RunConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
@@ -85,9 +110,10 @@ def test_identity_run_report_content(tmp_path):
 
 def test_reproducibility_across_runs_and_workers(tmp_path):
     outs = []
+    # 8193 samples make three CHUNK-row chunks, so workers=3 starts threads
     for name, workers in (("a", 1), ("b", 1), ("c", 3)):
         d = tmp_path / name
-        cfg = RunConfig(case="identity", out_dir=str(d), workers=workers, **FAST)
+        cfg = RunConfig(case="identity", out_dir=str(d), workers=workers, **{**FAST, "n_samples": 8193})
         run(cfg)
         outs.append(d)
     ref_curve = (outs[0] / "curve.csv").read_bytes()
@@ -162,14 +188,50 @@ def test_run_case_beam_fast():
     assert report["direction"] == "above"
 
 
-def test_verify_passes_and_mutation_fails(capsys):
+def test_verify_passes_and_mutation_fails(capsys, monkeypatch):
     assert verify(n_samples=4000, cases=("identity",)) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
     # a corrupted score sign must trip the gradient/finite-difference check
-    assert verify(n_samples=4000, cases=("identity",), _negate_scores=True) == 1
+    real_sample = runner.sample
+
+    def negated(*args, **kwargs):
+        batch = real_sample(*args, **kwargs)
+        return ps.ScoredSampleBatch(draws=batch.draws, scores=-batch.scores, seed=batch.seed)
+
+    monkeypatch.setattr(runner, "sample", negated)
+    assert verify(n_samples=4000, cases=("identity",)) == 1
     out = capsys.readouterr().out
     assert "[FAIL] identity: gradient vs finite differences" in out
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    report = run_case(RunConfig(case="identity", n_samples=4000))
+    assert all(o.ok for o in criteria.evaluate(report))
+    return report
+
+
+# one edit per criterion that moves its measure, and no other, past the tolerance
+_BREAK = {
+    "tr_Fx vs closed form": lambda r: r.update(tr_fx=r["tr_fx"] + 1e-6),
+    "sensitivity chain violations": lambda r: r["rows"][50].update(norm_le_tr_fy=False),
+    "perturbation bound violations": lambda r: r["perturbations"][0].update(violations_fy=1),
+    "gradient vs finite differences": lambda r: r["gradient_fd_check"].update(max_rel_err=0.5),
+    # the 10th-percentile row lies inside the p_f window and well below the peak
+    "norm^2 vs closed form": lambda r: r["rows"][9].update(grad_norm_sq=1.5 * r["rows"][9]["grad_norm_sq"]),
+    # the 1st-percentile row lies outside the p_f window; the median row is near the peak
+    "peak norm^2 vs closed form": lambda r: r["rows"][0].update(grad_norm_sq=2.0 * r["rows"][49]["grad_norm_sq"]),
+    "KL quadratic consistency": lambda r: r["kl_consistency"].update(rel_err_reverse_fx=2.0),
+}
+
+
+@pytest.mark.parametrize("criterion", criteria.CRITERIA, ids=lambda c: c.name)
+def test_every_criterion_can_fail(criterion, small_report):
+    report = copy.deepcopy(small_report)
+    _BREAK[criterion.name](report)
+    failed = [o.name for o in criteria.evaluate(report) if not o.ok]
+    assert failed == [criterion.name]
 
 
 def test_cli_print_config_round_trip(tmp_path, capsys):
@@ -204,11 +266,30 @@ def test_cli_flag_overrides_config_file(tmp_path):
 
 
 def test_cli_rejects_invalid_config(tmp_path):
+    # exit 1 means a violated bound; every invalid input exits 2
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"case": "identity", "bogus_key": 1}))
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(cfg_path)])
-    assert exc.value.code == 2
+    for bad in (
+        {"bogus_key": 1},
+        {"bandwidth": [0.0]},
+        {"bandwidth": "ab"},
+        {"perturbations": [[0.1]]},
+        {"percentiles": ["abc"]},
+        {"percentiles": "57"},
+        {"case": "discrete-oracle", "oracle": {"thetas": [1.5]}},
+        {"case": "discrete-oracle", "oracle": {"n_trials": "x"}},
+        {"case": "discrete-oracle", "oracle": {"n_trials": 3.7}},
+    ):
+        cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 4000, **bad}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path)])
+        assert exc.value.code == 2, bad
+    # a config file that cannot be read, an output directory that cannot be made
+    unreadable = ["--config", str(tmp_path / "missing.json")]
+    unwritable = ["--case", "discrete-oracle", "--out", str(cfg_path / "d")]
+    for argv in (unreadable, unwritable):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv])
+        assert exc.value.code == 2, argv
 
 
 def test_cli_verify_subcommand_exit_zero():
