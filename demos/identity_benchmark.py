@@ -24,7 +24,7 @@ h = lambda x: x[:, 0]
 g = lambda v: np.asarray(v, dtype=float)
 
 # One sample set, the whole threshold sweep.  CDF convention: P(Y <= z).
-curve = ps.sensitivity_curve(h, g, np.arange(5, 100, 5), batch, direction="below")
+curve = ps.sensitivity_curve(g(h(batch.draws)), batch.scores, np.arange(5, 100, 5), direction="below")
 
 print(f"identity benchmark: mu={MU}, sigma={SIGMA}, N={N}")
 print(f"{'z':>8} {'P_f':>8} {'dP/dmu':>9} {'dP/dsig':>9} {'norm^2':>8} {'exact':>8}")

@@ -27,7 +27,7 @@ h = lambda x: sho_response(x[:, 0], x[:, 1])
 g = lambda v: np.asarray(v, dtype=float)
 
 outputs = h(batch.draws)
-curve = ps.sensitivity_curve(h, g, np.arange(5, 100, 5), batch, direction="below", outputs=outputs)
+curve = ps.sensitivity_curve(g(outputs), batch.scores, np.arange(5, 100, 5), direction="below")
 
 dg = ps.estimate_output_density(outputs, batch.scores)
 f_y = ps.estimate_output_fim(dg)
@@ -39,7 +39,7 @@ print(f"output information trace (from the response density): tr(F_y) = {f_y.tra
 print()
 print(f"{'pct':>4} {'z':>7} {'P_f':>6} {'norm^2':>9}  bound margin to tr(F_y)")
 for pct, res in zip(range(5, 100, 5), curve):
-    rep, _ = ps.check_sensitivity_bound(res, f_y, f_x)
+    rep = ps.check_sensitivity_bound(res, f_y)
     print(f"{pct:4d} {res.z:7.3f} {res.p_f:6.3f} {res.grad_norm_sq:9.2f}  {rep.margin:10.2f}")
 
 worst = min(f_y.trace - r.grad_norm_sq for r in curve)

@@ -27,7 +27,6 @@ from .distributions import (
     MarginalSpec,
     ParamVector,
     ScoredSampleBatch,
-    joint_score_and_fim,
     lognormal,
     normal,
     sample,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_output_fim",
     "evaluate_outputs",
     "info_processing_check",
-    "joint_score_and_fim",
     "kl_quadratic_consistency",
     "lognormal",
     "models",

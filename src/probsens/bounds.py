@@ -24,8 +24,14 @@ from .fisher import FisherMatrix
 from .mclr import SensitivityResult
 
 
-def _tol(rhs: float) -> float:
-    return 1e-12 * max(1.0, rhs)
+# relative slack of the relaxed matrix ordering in info_processing_check
+_EIG_TOL = 0.05
+
+
+def _holds(lhs, rhs):
+    """The one pass rule of every bound: lhs <= rhs + 1e-12 * max(1, rhs),
+    elementwise on arrays."""
+    return lhs <= rhs + 1e-12 * np.maximum(1.0, rhs)
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class BoundReport:
             name=name,
             lhs=float(lhs),
             rhs=float(rhs),
-            satisfied=bool(lhs <= rhs + _tol(rhs)),
+            satisfied=bool(_holds(lhs, rhs)),
             margin=float(rhs - lhs),
             context=context or {},
         )
@@ -61,16 +67,14 @@ class BoundReport:
         }
 
 
-def check_sensitivity_bound(
-    result: SensitivityResult, f_y: FisherMatrix, f_x: FisherMatrix
-) -> tuple[BoundReport, BoundReport]:
-    """The two links of the chain |grad|^2 <= tr(F_y) <= tr(F_x)."""
-    if f_y.n != f_x.n or result.gradient.shape != (f_y.n,):
-        raise ContractError("parameter dimensions of gradient and information matrices differ")
-    ctx = {"z": result.z, "p_f": result.p_f}
-    return (
-        BoundReport.of("grad_norm_sq<=tr_Fy", result.grad_norm_sq, f_y.trace, ctx),
-        BoundReport.of("tr_Fy<=tr_Fx", f_y.trace, f_x.trace, ctx),
+def check_sensitivity_bound(result: SensitivityResult, f_y: FisherMatrix) -> BoundReport:
+    """The threshold's link |grad|^2 <= tr(F_y) of the chain; the link
+    tr(F_y) <= tr(F_x) holds for every threshold at once and is
+    :func:`info_processing_check`."""
+    if result.gradient.shape != (f_y.n,):
+        raise ContractError("parameter dimensions of gradient and information matrix differ")
+    return BoundReport.of(
+        "grad_norm_sq<=tr_Fy", result.grad_norm_sq, f_y.trace, {"z": result.z, "p_f": result.p_f}
     )
 
 
@@ -109,7 +113,7 @@ def titu(u, v) -> tuple[float, float, bool]:
         raise ParameterDomainError("u entries must be >= 0")
     lhs = float(u.sum()) ** 2 / float(v.sum())
     rhs = float(np.sum(u * u / v))
-    return lhs, rhs, lhs <= rhs + _tol(rhs)
+    return lhs, rhs, bool(_holds(lhs, rhs))
 
 
 def discrete_kl(p, q) -> float:
@@ -147,13 +151,13 @@ def pinsker_check(p, q) -> BoundReport:
         "l1_sq<=2kl",
         l1 * l1,
         2.0 * kl,
-        {"kl": kl, "tv": tv, "worst_set_dpf_sq": tv * tv, "chain_ok": tv * tv <= l1 * l1 + _tol(l1 * l1)},
+        {"kl": kl, "tv": tv, "worst_set_dpf_sq": tv * tv, "chain_ok": bool(_holds(tv * tv, l1 * l1))},
     )
 
 
 @dataclass(frozen=True)
 class DiscretePmfFamily:
-    """A parametric PMF on d cells with a designated failure set.
+    """A parametric PMF on d cells.
 
     ``pmf(b)`` maps a parameter vector to d probabilities; ``dpdb`` may
     supply the exact (d, n) Jacobian, otherwise it is built from high-order
@@ -162,7 +166,6 @@ class DiscretePmfFamily:
 
     d: int
     pmf: Callable[[np.ndarray], np.ndarray]
-    failure_set: tuple[int, ...]
     dpdb: Callable[[np.ndarray], np.ndarray] | None = None
 
     def probs(self, b) -> np.ndarray:
@@ -202,27 +205,34 @@ class DiscretePmfFamily:
 
 @dataclass(frozen=True)
 class SimplexOracleResult:
-    """Exact PMF evaluation of every quantity in the perturbation chain."""
+    """Exact PMF evaluation of every quantity in the perturbation chain.
 
-    delta_pf: float
-    delta_pf_sq: float
+    The failure-set quantities are arrays with one entry per failure set;
+    the rest depend on the family, b and db alone.
+    """
+
+    delta_pf: np.ndarray
+    pf_b: np.ndarray
+    pf_b_plus: np.ndarray
+    eq2_satisfied: np.ndarray        # |delta P_f|^2 <= db^T F db
+    eq2_margin: np.ndarray
+    geometric_satisfied: np.ndarray  # |delta P_f|^2 <= D1^2 + |db|^3
+    geometric_margin: np.ndarray
     d1_sq: float           # exact squared distance in sqrt-probability space
     d1_sq_linear: float    # first-order version; equals quad_form / 4 exactly
     quad_form: float       # db^T F db
-    pf_b: float
-    pf_b_plus: float
-    bound_eq2: BoundReport
-    bound_geometric: BoundReport
 
 
-def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db) -> SimplexOracleResult:
+def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db, failure_sets) -> SimplexOracleResult:
     """Brute-force check of the perturbation bound on a finite PMF.
 
+    ``failure_sets`` is a (sets, d) 0/1 matrix, one failure set per row.
     Everything is computed exactly from the PMF: the probability change of
-    the failure set, the distance in sqrt-probability coordinates, and the
-    quadratic form of the exact information matrix.  The geometric relation
-    |delta P_f|^2 <= D1^2 is checked with O(|db|^3) slack (its first-order
-    derivation ignores curvature); the final bound
+    each failure set, the distance in sqrt-probability coordinates, and the
+    quadratic form of the exact information matrix.  Only the probability
+    changes depend on the failure set; the rest is computed once.  The
+    geometric relation |delta P_f|^2 <= D1^2 is checked with O(|db|^3)
+    slack (its first-order derivation ignores curvature); the final bound
     |delta P_f|^2 <= db^T F db is checked outright.
 
     Note the first-order D1^2 built from d(sqrt p)/db equals one quarter of
@@ -234,16 +244,16 @@ def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db) -> SimplexOracleResul
     p = fam.probs(b)
     q = fam.probs(b + db)
 
-    idx = np.asarray(fam.failure_set, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= fam.d):
-        raise ContractError("failure set indices out of range")
-    dead = idx[p[idx] == 0.0]
+    sets = np.asarray(failure_sets)
+    if sets.ndim != 2 or sets.shape[1] != fam.d or not np.all((sets == 0) | (sets == 1)):
+        raise ContractError(f"failure sets must be a (sets, {fam.d}) 0/1 matrix, got shape {sets.shape}")
+    dead = np.flatnonzero((p == 0.0) & np.any(sets == 1, axis=0))
     if dead.size:
         warnings.warn(f"failure cells with zero probability excluded: {dead.tolist()}", RuntimeWarning)
-        idx = idx[p[idx] > 0.0]
-
-    pf_b = float(p[idx].sum())
-    pf_bp = float(q[idx].sum())
+    member = (sets == 1) & (p > 0.0)
+    # row sums over contiguous rows: a set's value does not depend on the other rows
+    pf_b = np.where(member, p, 0.0).sum(axis=1)
+    pf_bp = np.where(member, q, 0.0).sum(axis=1)
     dpf = pf_bp - pf_b
 
     d1_sq = float(np.sum((np.sqrt(q) - np.sqrt(p)) ** 2))
@@ -253,24 +263,19 @@ def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db) -> SimplexOracleResul
     d1_sq_linear = float(np.sum(dq_lin * dq_lin))
     quad = fam.fim(b).quad_form(db)
 
-    norm_db = float(np.linalg.norm(db))
-    geometric = BoundReport.of(
-        "dPf_sq<=d1_sq+O(db^3)",
-        dpf * dpf,
-        d1_sq + norm_db**3,
-        {"d1_sq_exact": d1_sq, "slack": norm_db**3},
-    )
-    eq2 = BoundReport.of("dPf_sq<=quad_form", dpf * dpf, quad, {"pf_b": pf_b, "pf_b_plus": pf_bp})
+    dpf_sq = dpf * dpf
+    geometric_rhs = d1_sq + float(np.linalg.norm(db)) ** 3
     return SimplexOracleResult(
         delta_pf=dpf,
-        delta_pf_sq=dpf * dpf,
+        pf_b=pf_b,
+        pf_b_plus=pf_bp,
+        eq2_satisfied=_holds(dpf_sq, quad),
+        eq2_margin=quad - dpf_sq,
+        geometric_satisfied=_holds(dpf_sq, geometric_rhs),
+        geometric_margin=geometric_rhs - dpf_sq,
         d1_sq=d1_sq,
         d1_sq_linear=d1_sq_linear,
         quad_form=quad,
-        pf_b=pf_b,
-        pf_b_plus=pf_bp,
-        bound_eq2=eq2,
-        bound_geometric=geometric,
     )
 
 
@@ -285,7 +290,7 @@ def _binomial_pmf(n_trials: int, theta: float) -> np.ndarray:
     return p
 
 
-def binomial_family(n_trials: int, failure_set) -> DiscretePmfFamily:
+def binomial_family(n_trials: int) -> DiscretePmfFamily:
     """Binomial(n_trials, theta) family with exact probability Jacobian.
 
     The closed form needs binomial coefficients that fit a float, which
@@ -305,24 +310,22 @@ def binomial_family(n_trials: int, failure_set) -> DiscretePmfFamily:
         k = np.arange(n_trials + 1)
         return (pmf(b) * (k - n_trials * theta) / (theta * (1.0 - theta)))[:, None]
 
-    return DiscretePmfFamily(
-        d=n_trials + 1, pmf=pmf, failure_set=tuple(failure_set), dpdb=dpdb
-    )
+    return DiscretePmfFamily(d=n_trials + 1, pmf=pmf, dpdb=dpdb)
 
 
-def info_processing_check(f_y: FisherMatrix, f_x: FisherMatrix, eig_tol: float = 0.05) -> BoundReport:
+def info_processing_check(f_y: FisherMatrix, f_x: FisherMatrix) -> BoundReport:
     """Deterministic maps cannot create information: tr(F_y) <= tr(F_x).
 
     The matrix ordering F_y <= F_x would need min eig(F_x - F_y) >= 0; with
     a kernel-estimated F_y only a relaxed check is possible, recorded in
-    the context as a secondary report with rhs = eig_tol * tr(F_x).
+    the context as a secondary report with rhs = _EIG_TOL * tr(F_x).
     """
     if f_y.n != f_x.n:
         raise ContractError("information matrices differ in dimension")
     diff = f_x.matrix - f_y.matrix
     min_eig = float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
     secondary = BoundReport.of(
-        "neg_min_eig<=tol*tr_Fx", -min_eig, eig_tol * f_x.trace, {"min_eigenvalue": min_eig}
+        "neg_min_eig<=tol*tr_Fx", -min_eig, _EIG_TOL * f_x.trace, {"min_eigenvalue": min_eig}
     )
     return BoundReport.of(
         "tr_Fy<=tr_Fx",
@@ -342,9 +345,3 @@ def kl_quadratic_consistency(fim: FisherMatrix, db, kl_direct: float) -> float:
     if half_quad <= 0.0:
         raise ContractError("quadratic form must be positive for a relative error")
     return abs(kl_direct - half_quad) / half_quad
-
-
-def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    """Exact Normal pdf evaluated on a grid (for oracle density pairs)."""
-    z = (axis - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))

@@ -229,18 +229,3 @@ def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSa
             u = uniform_open(seed, j, start, stop - start)
             draws[start:stop, j] = marg.ppf(u)
     return ScoredSampleBatch(draws=draws, scores=model.scores(draws), seed=seed)
-
-
-def joint_score_and_fim(model: InputModel, batch: ScoredSampleBatch):
-    """Joint scores, the analytic input FIM, and its Monte-Carlo estimate.
-
-    Returns ``(scores, fim, fim_mc)`` where ``fim_mc`` is the sample mean of
-    the score outer products E[s s^T], used to cross-validate the analytic
-    block-diagonal matrix.
-    """
-    scores = model.scores(batch.draws)
-    if scores.shape != batch.scores.shape:
-        raise ContractError("batch was not drawn from this model (score shape mismatch)")
-    mc = (scores.T @ scores) / scores.shape[0]
-    mc = 0.5 * (mc + mc.T)
-    return scores, model.fim(), FisherMatrix(mc)

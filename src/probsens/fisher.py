@@ -51,9 +51,6 @@ class FisherMatrix:
             raise ContractError(f"expected perturbation of length {self.n}, got {db.shape}")
         return float(db @ self.matrix @ db)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix).min())
-
     @staticmethod
     def from_blocks(blocks: list[np.ndarray]) -> "FisherMatrix":
         """Block-diagonal assembly (independent input groups)."""

@@ -39,6 +39,9 @@ _DIRECTIONS = ("above", "below")
 # biases the information estimate downward (conservative for upper bounds).
 DENSITY_FLOOR = 1e-6
 
+# grid points per output axis, by output dimension
+_GRID_POINTS = {1: 512, 2: 256}
+
 
 @dataclass(frozen=True)
 class SensitivityResult:
@@ -48,7 +51,6 @@ class SensitivityResult:
     p_f: float
     gradient: np.ndarray = field(repr=False)
     grad_norm_sq: float
-    n_samples: int
     std_err_pf: float
     grad_std_err: np.ndarray = field(repr=False)
 
@@ -84,15 +86,6 @@ def evaluate_outputs(
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise EvaluationError(f"forward map returned a non-finite output at draw {idx}")
-    return outputs
-
-
-def _outputs_for(h, batch: ScoredSampleBatch, outputs) -> np.ndarray:
-    if outputs is None:
-        return evaluate_outputs(h, batch.draws)
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.shape[0] != batch.n:
-        raise ContractError("cached outputs do not match the batch length")
     return outputs
 
 
@@ -172,16 +165,10 @@ def estimate_gradient_fd(
     return sums / batch.n
 
 
-def sensitivity_curve(
-    h,
-    g,
-    percentiles,
-    batch: ScoredSampleBatch,
-    direction: str = "above",
-    outputs=None,
-) -> list[SensitivityResult]:
+def sensitivity_curve(gvals, scores, percentiles, direction: str = "above") -> list[SensitivityResult]:
     """One SensitivityResult per threshold, thresholds taken as empirical
-    percentiles of the performance values g(h(x)).
+    percentiles of the performance values ``gvals``, one per row of the
+    (N, n) ``scores``.
 
     At each threshold z: P_f is the failure-set fraction, the gradient the
     mean of indicator * score, and its per-component standard error the
@@ -191,14 +178,15 @@ def sensitivity_curve(
     percentiles = np.asarray(percentiles, dtype=float)
     if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
-    gvals = np.asarray(g(_outputs_for(h, batch, outputs)), dtype=float)
+    gvals = np.asarray(gvals, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[0] != gvals.size:
+        raise ContractError("scores must be an (N, n) matrix with one row per performance value")
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
     zs = np.percentile(gvals, percentiles)
-    n, n_params = batch.scores.shape
-    counts, sums = _threshold_sums(
-        gvals, zs, direction, np.concatenate([batch.scores, batch.scores**2], axis=1)
-    )
+    n, n_params = scores.shape
+    counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1))
     grads = sums[:, :n_params] / n
     var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
     grad_se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
@@ -211,7 +199,6 @@ def sensitivity_curve(
                 p_f=pf,
                 gradient=grad,
                 grad_norm_sq=float(grad @ grad),
-                n_samples=n,
                 std_err_pf=math.sqrt(pf * (1.0 - pf) / n),
                 grad_std_err=se,
             )
@@ -293,9 +280,7 @@ def estimate_output_density(
     outputs,
     scores,
     bandwidth=None,
-    points_per_dim: int | None = None,
     axes: tuple[np.ndarray, ...] | None = None,
-    chunk: int = CHUNK,
 ) -> DensityGrid:
     """Kernel-smoothed output density and its parameter derivatives.
 
@@ -308,9 +293,9 @@ def estimate_output_density(
     outputs : (N,) or (N, k) array, k <= 2
     scores : (N, n) score matrix of the generating batch
     bandwidth : optional per-dimension kernel widths (default: KDE rules)
-    points_per_dim : grid resolution (default 512 for k=1, 256 for k=2)
     axes : optional fixed grid, e.g. to place a perturbed density on the
-        grid of its base case
+        grid of its base case (default: 512 points for k=1, 256 per axis
+        for k=2)
     """
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
@@ -331,9 +316,7 @@ def estimate_output_density(
         raise ParameterDomainError("bandwidth must be positive")
 
     if axes is None:
-        if points_per_dim is None:
-            points_per_dim = 512 if k == 1 else 256
-        axes = _grid_axes(outputs, bandwidth, points_per_dim)
+        axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])
     else:
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         if len(axes) != k:
@@ -345,7 +328,7 @@ def estimate_output_density(
     if k == 1:
         density = np.zeros(axes[0].size)
         grads = np.zeros((n_params, axes[0].size))
-        for start, stop in chunk_ranges(n, chunk):
+        for start, stop in chunk_ranges(n, CHUNK):
             km = _gauss(axes[0], outputs[start:stop, 0], bandwidth[0])
             density += km.sum(axis=1)
             grads += (km @ centred[start:stop]).T
@@ -353,7 +336,7 @@ def estimate_output_density(
         shape = (axes[0].size, axes[1].size)
         density = np.zeros(shape)
         grads = np.zeros((n_params,) + shape)
-        for start, stop in chunk_ranges(n, chunk):
+        for start, stop in chunk_ranges(n, CHUNK):
             a = _gauss(axes[0], outputs[start:stop, 0], bandwidth[0])
             b = _gauss(axes[1], outputs[start:stop, 1], bandwidth[1])
             density += a @ b.T

@@ -13,7 +13,6 @@ files under any worker count.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -64,7 +63,9 @@ _BEAM_KEYS = (
     "omega_lo",
     "omega_hi",
 )
-_ORACLE_KEYS = ("n_trials", "thetas", "dtheta")
+_ORACLE_DEFAULTS = {"n_trials": 5, "thetas": (0.2, 0.5, 0.8), "dtheta": 1e-3}
+# every one of the 2^(n_trials + 1) failure sets is enumerated at once
+_MAX_ORACLE_TRIALS = 16
 
 
 def _integer(name: str, value) -> int:
@@ -136,7 +137,7 @@ class RunConfig:
             raise ConfigError("percentiles must not be empty")
         if any(not 0.0 < p < 100.0 for p in self.percentiles):
             raise ConfigError("percentiles must lie strictly inside (0, 100)")
-        for name, keys in (("beam", _BEAM_KEYS), ("oracle", _ORACLE_KEYS)):
+        for name, keys in (("beam", _BEAM_KEYS), ("oracle", tuple(_ORACLE_DEFAULTS))):
             overrides = getattr(self, name)
             if not isinstance(overrides, dict):
                 raise ConfigError(f"{name} must be an object, got {overrides!r}")
@@ -144,6 +145,13 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown {name} keys {sorted(unknown)}; allowed {keys}")
             setattr(self, name, {k: _OVERRIDES[k](f"{name}.{k}", v) for k, v in overrides.items()})
+        oracle = {**_ORACLE_DEFAULTS, **self.oracle}
+        if not 0 <= oracle["n_trials"] <= _MAX_ORACLE_TRIALS:
+            raise ConfigError(f"oracle.n_trials must be in [0, {_MAX_ORACLE_TRIALS}], got {oracle['n_trials']}")
+        if not oracle["thetas"] or any(not 0.0 < t < 1.0 for t in oracle["thetas"]):
+            raise ConfigError(f"oracle.thetas must be a non-empty list inside (0, 1), got {oracle['thetas']}")
+        if not math.isfinite(oracle["dtheta"]) or oracle["dtheta"] == 0.0:
+            raise ConfigError(f"oracle.dtheta must be finite and nonzero, got {oracle['dtheta']}")
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -258,9 +266,7 @@ def run_case(config: RunConfig) -> dict:
     gvals = case.g(y)
 
     # threshold sweep
-    curve = sensitivity_curve(
-        case.h, case.g, config.percentiles, batch, direction=case.direction, outputs=y
-    )
+    curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction)
     zs = np.array([r.z for r in curve])
 
     # output density, output/input information
@@ -272,7 +278,7 @@ def run_case(config: RunConfig) -> dict:
     rows = []
     chain_ok = True
     for pct, res in zip(config.percentiles, curve):
-        rep_norm, _ = check_sensitivity_bound(res, f_y, f_x)
+        rep_norm = check_sensitivity_bound(res, f_y)
         chain_ok &= rep_norm.satisfied
         rows.append(
             {
@@ -399,31 +405,25 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step) -> dict:
 
 
 def _run_discrete_oracle(config: RunConfig) -> dict:
-    """Exhaustive failure-set enumeration for the binomial family."""
-    n_trials = config.oracle.get("n_trials", 5)
-    thetas = list(config.oracle.get("thetas", (0.2, 0.5, 0.8)))
-    dtheta = config.oracle.get("dtheta", 1e-3)
+    """Every failure set of the binomial family, one oracle call per theta."""
+    oracle = {**_ORACLE_DEFAULTS, **config.oracle}
+    n_trials, thetas, dtheta = oracle["n_trials"], list(oracle["thetas"]), oracle["dtheta"]
     cells = n_trials + 1
-    instances = 0
-    violations = 0
-    worst_margin = None
+    # row m is the failure set of the cells whose bits are set in m
+    sets = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
+    fam = binomial_family(n_trials)
+    violations, worst_margin = 0, math.inf
     for theta in thetas:
-        for r in range(cells + 1):
-            for subset in itertools.combinations(range(cells), r):
-                fam = binomial_family(n_trials, subset)
-                res = discrete_simplex_oracle(fam, np.array([theta]), np.array([dtheta]))
-                instances += 1
-                if not (res.bound_eq2.satisfied and res.bound_geometric.satisfied):
-                    violations += 1
-                m = res.bound_eq2.margin
-                worst_margin = m if worst_margin is None else min(worst_margin, m)
+        res = discrete_simplex_oracle(fam, [theta], [dtheta], sets)
+        violations += int(np.count_nonzero(~(res.eq2_satisfied & res.geometric_satisfied)))
+        worst_margin = min(worst_margin, float(res.eq2_margin.min()))
     return {
         "case": "discrete-oracle",
         "all_bounds_satisfied": violations == 0,
         "n_trials": n_trials,
         "thetas": thetas,
         "dtheta": dtheta,
-        "instances": instances,
+        "instances": len(thetas) * len(sets),
         "violations": violations,
         "worst_margin": worst_margin,
         "provenance": {

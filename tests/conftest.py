@@ -1,9 +1,42 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import probsens as ps
-from probsens.bounds import normal_pdf_grid
+from probsens.errors import ContractError
 from probsens.mclr import DensityGrid
+
+
+def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    """Exact Normal pdf evaluated on a grid (for oracle density pairs)."""
+    z = (axis - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def min_eigenvalue(fim: ps.FisherMatrix) -> float:
+    return float(np.linalg.eigvalsh(fim.matrix).min())
+
+
+def joint_score_and_fim(model: ps.InputModel, batch: ps.ScoredSampleBatch):
+    """Joint scores, the analytic input FIM, and its Monte-Carlo estimate.
+
+    Returns ``(scores, fim, fim_mc)`` where ``fim_mc`` is the sample mean of
+    the score outer products E[s s^T], used to cross-validate the analytic
+    block-diagonal matrix.
+    """
+    scores = model.scores(batch.draws)
+    if scores.shape != batch.scores.shape:
+        raise ContractError("batch was not drawn from this model (score shape mismatch)")
+    mc = (scores.T @ scores) / scores.shape[0]
+    mc = 0.5 * (mc + mc.T)
+    return scores, model.fim(), ps.FisherMatrix(mc)
+
+
+def all_failure_sets(d: int) -> np.ndarray:
+    """Every subset of d cells as a (2^d, d) 0/1 matrix."""
+    return np.array(list(itertools.product((0, 1), repeat=d)))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
+from conftest import joint_score_and_fim
 from probsens.distributions import MarginalSpec
 
 
@@ -127,7 +128,7 @@ def test_fim_mc_convergence(spec):
     errs = []
     for n in (1000, 10000, 100000, 1000000):
         b = ps.sample(m, n, seed=4)
-        _, _, mc = ps.joint_score_and_fim(m, b)
+        _, _, mc = joint_score_and_fim(m, b)
         errs.append(np.abs(mc.matrix - analytic).max() / np.abs(analytic).max())
     assert errs[-1] < 0.02
     assert errs[-1] < errs[0] / 5.0
@@ -138,7 +139,7 @@ def test_lognormal_fim_verified_by_monte_carlo():
     spec = ps.lognormal(7.88, 0.2)
     m = ps.InputModel((spec,))
     b = ps.sample(m, 1000000, seed=9)
-    _, _, mc = ps.joint_score_and_fim(m, b)
+    _, _, mc = joint_score_and_fim(m, b)
     rel = np.abs(np.diag(mc.matrix) - np.array([25.0, 50.0])) / np.array([25.0, 50.0])
     assert rel.max() < 0.02
 
@@ -146,7 +147,7 @@ def test_lognormal_fim_verified_by_monte_carlo():
 def test_joint_fim_block_diagonal_trace():
     m = ps.InputModel((ps.normal(1.0, 0.1), ps.normal(0.1, 0.01)))
     b = ps.sample(m, 1000, seed=0)
-    scores, fim, _ = ps.joint_score_and_fim(m, b)
+    scores, fim, _ = joint_score_and_fim(m, b)
     assert scores.shape == (1000, 4)
     assert fim.trace == pytest.approx(300.0 + 30000.0)
     # single marginal: joint equals the marginal matrix
@@ -157,7 +158,7 @@ def test_joint_fim_block_diagonal_trace():
 def test_joint_fim_mc_close_to_analytic():
     m = ps.InputModel((ps.normal(1.0, 0.1), ps.normal(0.1, 0.01)))
     b = ps.sample(m, 1000000, seed=5)
-    _, fim, mc = ps.joint_score_and_fim(m, b)
+    _, fim, mc = joint_score_and_fim(m, b)
     d_rel = np.abs(np.diag(mc.matrix) - np.diag(fim.matrix)) / np.diag(fim.matrix)
     assert d_rel.max() < 0.02
 
@@ -207,7 +208,7 @@ def test_dimension_mismatch_is_contract_error():
     b = ps.sample(m, 100, seed=0)
     m2 = ps.InputModel((ps.normal(0.0, 1.0), ps.normal(0.0, 1.0)))
     with pytest.raises(ps.ContractError):
-        ps.joint_score_and_fim(m2, b)
+        joint_score_and_fim(m2, b)
 
 
 def test_uniform_stream_stays_strictly_inside_unit_interval():

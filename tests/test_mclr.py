@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 
 import probsens as ps
+from conftest import min_eigenvalue, normal_pdf_grid
 from probsens.mclr import DensityGrid, _threshold_sums
 
 IDENTITY = ps.InputModel((ps.normal(1.0, 0.2),))
-H = staticmethod(lambda x: x[:, 0])
-
-
-def identity_h(x):
-    return x[:, 0]
-
-
-def g_scalar(v):
-    return np.asarray(v, dtype=float)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +42,7 @@ def test_gradient_is_mean_score_when_always_failing(batch):
 
 def test_gradient_closed_form_at_mean(batch):
     # CDF convention at z = mu: d/dmu = -p(mu) = -1.9947, d/dsigma = 0
-    (res,) = ps.sensitivity_curve(identity_h, g_scalar, [50.0], batch, direction="below")
+    (res,) = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [50.0], direction="below")
     assert abs(res.z - 1.0) < 0.01
     assert res.gradient[0] == pytest.approx(-1.9947, rel=0.02)
     assert abs(res.gradient[1]) <= 5 * res.grad_std_err[1]
@@ -59,7 +51,7 @@ def test_gradient_closed_form_at_mean(batch):
 
 def test_gradient_vs_fd_step_1e3(batch):
     # explicit 1e-3 steps; agreement wherever |component| > 0.1
-    curve = ps.sensitivity_curve(identity_h, g_scalar, (10, 30, 50, 70, 90), batch, direction="below")
+    curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, (10, 30, 50, 70, 90), direction="below")
     zs = [res.z for res in curve]
     fds = ps.estimate_gradient_fd(batch.draws[:, 0], zs, IDENTITY, batch, "below", steps=[1e-3, 1e-3])
     for res, fd in zip(curve, fds):
@@ -69,7 +61,7 @@ def test_gradient_vs_fd_step_1e3(batch):
 
 
 def test_curve_median_and_monotonicity(batch):
-    curve = ps.sensitivity_curve(identity_h, g_scalar, range(5, 100, 5), batch, direction="above")
+    curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, range(5, 100, 5), direction="above")
     pfs = np.array([r.p_f for r in curve])
     zs = np.array([r.z for r in curve])
     assert np.all(np.diff(zs) > 0)
@@ -80,7 +72,7 @@ def test_curve_median_and_monotonicity(batch):
 
 def test_curve_bell_with_flat_top(batch):
     # norm^2 peaks near y = mu and falls toward both tails
-    curve = ps.sensitivity_curve(identity_h, g_scalar, range(1, 100), batch, direction="below")
+    curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, range(1, 100), direction="below")
     norms = np.array([r.grad_norm_sq for r in curve])
     zs = np.array([r.z for r in curve])
     peak_z = zs[norms.argmax()]
@@ -91,31 +83,35 @@ def test_curve_bell_with_flat_top(batch):
 
 def test_curve_rejects_bad_percentiles(batch):
     with pytest.raises(ps.ParameterDomainError):
-        ps.sensitivity_curve(identity_h, g_scalar, [0.0, 50.0], batch)
+        ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [0.0, 50.0])
+
+
+def test_curve_rejects_scores_of_another_shape(batch):
+    gvals = batch.draws[:, 0]
+    for scores in (batch.scores[:, 0], batch.scores[1:]):
+        with pytest.raises(ps.ContractError, match="scores"):
+            ps.sensitivity_curve(gvals, scores, [50.0])
 
 
 def test_curve_rejects_unknown_direction(batch):
     # a misspelt direction must not silently fall back to "below"
     for direction in ("Above", "exceed", ""):
         with pytest.raises(ps.ParameterDomainError, match="direction"):
-            ps.sensitivity_curve(identity_h, g_scalar, [50.0], batch, direction=direction)
+            ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [50.0], direction=direction)
 
 
 def test_degenerate_output_flagged(batch):
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        ps.sensitivity_curve(identity_h, lambda v: np.zeros(len(v)), [50.0], batch)
+        ps.sensitivity_curve(np.zeros(batch.n), batch.scores, [50.0])
 
 
 def test_curve_rejects_nonfinite_performance(batch):
     # a sort would count NaN rows as exceedances; the sweep must fail closed
-    def half_nan(v):
-        gv = np.array(v, dtype=float)
-        gv[3::2] = np.nan
-        return gv
-
+    half_nan = batch.draws[:, 0].copy()
+    half_nan[3::2] = np.nan
     for direction in ("above", "below"):
         with pytest.raises(ps.EvaluationError, match="row 3"):
-            ps.sensitivity_curve(identity_h, half_nan, [50.0], batch, direction=direction)
+            ps.sensitivity_curve(half_nan, batch.scores, [50.0], direction=direction)
     gv = batch.draws[:, 0].copy()
     gv[7] = -np.inf
     with pytest.raises(ps.EvaluationError, match="row 7"):
@@ -187,7 +183,7 @@ def test_output_fim_identity_trace(grid):
     f = ps.estimate_output_fim(grid)
     assert f.trace == pytest.approx(75.0, rel=0.10)
     assert np.array_equal(f.matrix, f.matrix.T)  # symmetric by construction
-    assert f.min_eigenvalue() >= -1e-8 * f.trace
+    assert min_eigenvalue(f) >= -1e-8 * f.trace
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.4])
@@ -201,8 +197,6 @@ def test_output_fim_scale_check(sigma):
 
 
 def _exact_grid(mu, sigma, axes, n_params=1):
-    from probsens.bounds import normal_pdf_grid
-
     density = normal_pdf_grid(axes[0], mu, sigma)
     return DensityGrid(
         axes=axes,

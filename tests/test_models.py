@@ -45,7 +45,7 @@ def test_identity_norm_decays_in_both_tails():
 def test_identity_gradient_matches_mclr():
     m = ps.InputModel((ps.normal(1.0, 0.2),))
     b = ps.sample(m, 100000, seed=1)
-    (est,) = ps.sensitivity_curve(lambda x: x[:, 0], lambda v: v, [50.0], b, direction="below")
+    (est,) = ps.sensitivity_curve(b.draws[:, 0], b.scores, [50.0], direction="below")
     exact = identity_analytic(1.0, 0.2, est.z)
     assert est.gradient[0] == pytest.approx(float(exact.d_mu), rel=0.02)
     assert abs(est.gradient[1] - float(exact.d_sigma)) <= 5 * est.grad_std_err[1]
@@ -56,9 +56,7 @@ def test_identity_full_curve_converges_to_closed_forms():
     # expressions, across the percentile band with P_f in [0.05, 0.95]
     m = ps.InputModel((ps.normal(1.0, 0.2),))
     b = ps.sample(m, 100000, seed=1)
-    curve = ps.sensitivity_curve(
-        lambda x: x[:, 0], lambda v: np.asarray(v, dtype=float), range(5, 96), b, direction="below"
-    )
+    curve = ps.sensitivity_curve(b.draws[:, 0], b.scores, range(5, 96), direction="below")
     zs = np.array([r.z for r in curve])
     exact = identity_analytic(1.0, 0.2, zs)
     for i, res in enumerate(curve):

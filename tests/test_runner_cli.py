@@ -50,6 +50,13 @@ def test_config_validation():
         ("oracle", {"n_trials": 3.7}),
         ("oracle", {"thetas": "0.5"}),
         ("oracle", {"dtheta": "1e-3"}),
+        # the oracle must finish and certify something
+        ("oracle", {"n_trials": 17}),
+        ("oracle", {"n_trials": -1}),
+        ("oracle", {"thetas": []}),
+        ("oracle", {"thetas": [0.0]}),
+        ("oracle", {"thetas": [0.5, 1.0]}),
+        ("oracle", {"dtheta": 0.0}),
         ("beam", {"length": "x"}),
         ("beam", {"n_freq": 100.5}),
         ("beam", ["length"]),
@@ -278,6 +285,10 @@ def test_cli_rejects_invalid_config(tmp_path):
         {"case": "discrete-oracle", "oracle": {"thetas": [1.5]}},
         {"case": "discrete-oracle", "oracle": {"n_trials": "x"}},
         {"case": "discrete-oracle", "oracle": {"n_trials": 3.7}},
+        {"case": "discrete-oracle", "oracle": {"n_trials": 40}},
+        {"case": "discrete-oracle", "oracle": {"thetas": []}},
+        {"case": "discrete-oracle", "oracle": {"thetas": [0.0]}},
+        {"case": "discrete-oracle", "oracle": {"dtheta": 0}},
     ):
         cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 4000, **bad}))
         with pytest.raises(SystemExit) as exc:

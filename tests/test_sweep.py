@@ -88,7 +88,7 @@ def test_sweep_matches_per_threshold_loop(case_name, seed):
     y = outputs / scale
     gvals = case.g(y)
 
-    curve = ps.sensitivity_curve(case.h, case.g, config.percentiles, batch, case.direction, outputs=y)
+    curve = ps.sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction)
     ref = _reference_curve(gvals, config.percentiles, batch.scores, case.direction)
     for res, (z, pf, se, grad, norm, grad_se) in zip(curve, ref):
         assert (res.z, res.p_f, res.std_err_pf) == (z, pf, se)
@@ -164,8 +164,7 @@ def test_sweep_properties(sweep, direction, rnd):
 def test_one_threshold_call_matches_curve_row(sweep, direction, percentiles):
     gvals, scores, _ = sweep
     n = gvals.size
-    batch = ps.ScoredSampleBatch(draws=gvals[:, None], scores=scores, seed=0)
-    curve = ps.sensitivity_curve(None, lambda v: v, percentiles, batch, direction, outputs=gvals)
+    curve = ps.sensitivity_curve(gvals, scores, percentiles, direction)
     weights = np.concatenate([scores, scores**2], axis=1)
     for res in curve:
         counts, sums = _threshold_sums(gvals, [res.z], direction, weights)
