@@ -6,7 +6,7 @@ is a squared sum of the ensemble-normalised peaks.  The full pipeline --
 sampling, forward runs, density/information estimation on a 2-D grid, and
 certification of every bound -- is one runner call.
 
-Run:  python demos/beam_study.py   (about half a minute)
+Run:  python demos/beam_study.py   (a few seconds)
 """
 
 import numpy as np

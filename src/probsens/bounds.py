@@ -34,25 +34,32 @@ def _holds(lhs, rhs):
     return lhs <= rhs + 1e-12 * np.maximum(1.0, rhs)
 
 
+def _plain(a: np.ndarray):
+    """A 0-d array as its Python scalar; any other array as it is."""
+    return a.item() if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """One lhs <= rhs comparison with its margin and context."""
+    """One lhs <= rhs comparison with its margin and context, or one per
+    element when lhs is an array (lhs, satisfied and margin are then arrays)."""
 
     name: str
-    lhs: float
+    lhs: float | np.ndarray
     rhs: float
-    satisfied: bool
-    margin: float
+    satisfied: bool | np.ndarray
+    margin: float | np.ndarray
     context: dict = field(default_factory=dict)
 
     @staticmethod
-    def of(name: str, lhs: float, rhs: float, context: dict | None = None) -> "BoundReport":
+    def of(name: str, lhs, rhs: float, context: dict | None = None) -> "BoundReport":
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         return BoundReport(
             name=name,
-            lhs=float(lhs),
+            lhs=_plain(lhs),
             rhs=float(rhs),
-            satisfied=bool(_holds(lhs, rhs)),
-            margin=float(rhs - lhs),
+            satisfied=_plain(_holds(lhs, rhs)),
+            margin=_plain(rhs - lhs),
             context=context or {},
         )
 
@@ -78,26 +85,26 @@ def check_sensitivity_bound(result: SensitivityResult, f_y: FisherMatrix) -> Bou
     )
 
 
-def check_perturbation_bound(
-    p_f_at_b: float, p_f_at_b_plus: float, db, fim: FisherMatrix
-) -> BoundReport:
+def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> BoundReport:
     """|delta P_f|^2 <= db^T F db; also reports delta-H = quad/2.
 
+    ``p_f_at_b`` and ``p_f_at_b_plus`` are one failure probability each, or
+    equal-length arrays of them (one per threshold), judged elementwise.
     The bound is only informative while the quadratic form stays <= 1
     (probabilities cannot change by more than 1); larger perturbations
-    get a vacuous-bound warning.
+    get one vacuous-bound warning per call.
     """
     quad = fim.quad_form(db)
     if quad > 1.0:
         warnings.warn(
             f"perturbation quadratic form {quad:.3g} > 1: bound is vacuous", RuntimeWarning
         )
-    dp = p_f_at_b_plus - p_f_at_b
+    dp = np.asarray(p_f_at_b_plus, dtype=float) - np.asarray(p_f_at_b, dtype=float)
     return BoundReport.of(
         "dPf_sq<=quad_form",
         dp * dp,
         quad,
-        {"delta_pf": dp, "delta_h": 0.5 * quad, "vacuous": quad > 1.0},
+        {"delta_pf": _plain(dp), "delta_h": 0.5 * quad, "vacuous": quad > 1.0},
     )
 
 

@@ -73,7 +73,7 @@ def evaluate_outputs(
         try:
             out = np.asarray(h(draws[start:stop]), dtype=float)
         except Exception as exc:  # noqa: BLE001 - annotate with draw range
-            raise EvaluationError(f"forward map failed on draws [{start}, {stop})") from exc
+            raise EvaluationError(f"forward map failed on draws [{start}, {stop}): {exc}") from exc
         return out
 
     if workers > 1 and len(ranges) > 1:

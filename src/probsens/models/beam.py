@@ -8,12 +8,26 @@ response spectra are integrated by the trapezoidal rule on a fixed
 frequency grid.
 
 For the r.m.s. integrals the modal sum is expanded into a 3 x 3 matrix of
-cross-spectral integrals G_mn = integral of w(omega) Re[T_m conj(T_n)], so
-an ensemble member costs a handful of length-4000 reductions instead of a
-full (positions x frequencies) response surface.  This is an exact
-rearrangement of the trapezoidal sum, not an approximation.  Members are
-processed in blocks of ``BEAM_CHUNK`` rows through per-call work buffers,
-so the working set stays in cache.
+cross-spectral sums G_ab = trapezoid sum of w(omega) Re[T_a conj(T_b)],
+with T_r = 1 / (omega_r^2 - omega^2 + 2i zeta omega_r omega).  Each is
+evaluated in closed form, so a member costs O(modes^2) digammas whatever
+the number of frequency points.  T_r has real coefficients, so
+conj T_b(omega) = T_b(-omega) and omega^k T_a(omega) T_b(-omega) (k = 4
+for acceleration, 0 for strain) is rational with four simple poles; in
+partial fractions it is [k = 4] + sum_j c_j r_j^k / (omega - r_j), and on
+the grid lo + i step, i < n, the trapezoid sum of 1 / (omega - r) is
+psi(a + n) - psi(a) - (step / 2) (1 / (lo - r) + 1 / (hi - r)) with
+a = (lo - r) / step (Abramowitz & Stegun, section 6.3).  This is the same
+trapezoid sum as summing the grid, not the exact integral.
+
+The partial fractions cancel where the band holds little of the response:
+spans far above or below the modes, or damping near 1 (zeta = 1 exactly is
+a double pole).  Every member therefore carries a rounding bound: eps times
+the magnitudes of all the terms it summed and of how far rounding of its
+poles can move them, carried through to the relative error of its output.  A
+member whose bound exceeds ``_MAX_ROUNDING`` (1e-10), or whose result is
+not finite, raises :class:`EvaluationError` instead of returning a value.
+The default configuration stays below 1e-14 out to 6 sigma.
 """
 
 from __future__ import annotations
@@ -22,17 +36,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from ..distributions import MarginalSpec, lognormal
 from ..errors import ConfigError, EvaluationError, ParameterDomainError
 
-# Rows per block of the ensemble kernel.  Per-sample results do not depend
-# on it; it only sets the working set.  At 8 rows and the default 3 modes x
-# 4000 frequencies the three (rows, modes, frequencies) float64 buffers take
-# 2.3 MB and stay near a 2 MB L2 cache: measured on one x86-64 core, 8 rows
-# ran at 4600 rows/s, 4 rows within 3% of that, 16 rows 20% and 256 rows
-# (24.6 MB per buffer) 3x slower, with bit-identical outputs.
-BEAM_CHUNK = 8
+# Largest rounding bound a returned row may carry, relative to its output.
+_MAX_ROUNDING = 1e-10
 
 _MAX_MODES = 10
 
@@ -161,8 +171,8 @@ def beam_natural_frequencies(e, rho, cfg: BeamConfig) -> np.ndarray:
     return np.multiply.outer(speed, roots**2) * cfg._freq_factor()
 
 
-def _modal_tables(cfg: BeamConfig):
-    """Per-configuration constants: numerators and quadrature weights."""
+def _modal_tables(cfg: BeamConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-configuration (positions, modes) numerators of acceleration and strain."""
     roots = beam_roots(cfg.n_modes)
     u = cfg.response_fractions()
     phi = np.empty((u.size, cfg.n_modes))
@@ -172,13 +182,72 @@ def _modal_tables(cfg: BeamConfig):
         phi[:, m], curv[:, m] = beam_mode_shape(bl, u)
         phi_ex[m] = beam_mode_shape(bl, cfg.excitation_frac)[0]
     curv /= cfg.length**2
-    omega = cfg.omega_grid()
-    tw = np.full(omega.size, omega[1] - omega[0])
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    w_acc = 2.0 * cfg.force_psd * omega**4 * tw
-    w_str = 2.0 * cfg.force_psd * tw
-    return omega, w_acc, w_str, phi * phi_ex, curv * phi_ex
+    return phi * phi_ex, curv * phi_ex
+
+
+def _cross_spectra(wr: np.ndarray, cfg: BeamConfig):
+    """Trapezoid sums G_ab of Re[T_a conj(T_b)] weighted by 2 S_0 w^4 (acceleration)
+    and 2 S_0 (strain), for natural frequencies wr of shape (S, m).
+
+    Returns ((g_acc, g_str), (e_acc, e_str)): (S, m, m) sums and, for each,
+    eps times the sum of the magnitudes of its terms, which bounds the
+    rounding error of every G_ab.
+    """
+    lo, hi = cfg.omega_span
+    n = cfg.n_freq
+    step = (hi - lo) / (n - 1)
+    zeta = cfg.modal_damping
+    wr = wr[:, :, None]
+    # the poles u of T_a in the upper half plane, (S, m, 2); the complex root
+    # keeps overdamped modes (zeta > 1) on the imaginary axis
+    u = wr * (np.sqrt(1.0 - zeta * zeta + 0j) * np.array([1.0, -1.0])) + 1j * zeta * wr
+    # trapezoid sum of 1 / (w - u) over the grid lo + i step, i < n
+    a = (lo - u) / step
+    psi_hi, psi_lo = psi(a + n), psi(a)
+    end_lo, end_hi = 1.0 / (lo - u), 1.0 / (hi - u)
+    trap = psi_hi - psi_lo - 0.5 * step * (end_lo + end_hi)
+    # what eps-relative rounding can move it by: the magnitudes of its parts,
+    # plus (|lo - u| + |u|) times the sum of step / |w - u|^2 over the grid,
+    # for rounding of the pole u itself; that sum is at most
+    # pi / y + step / y^2 (y = Im u) and at most (hi - lo + step) / d^2 (d the
+    # distance from u to the span)
+    y = u.imag
+    gap = np.maximum(np.maximum(lo - u.real, u.real - hi), 0.0)
+    slope = np.minimum(math.pi / y + step / (y * y), (hi - lo + step) / (y * y + gap * gap))
+    size = (
+        np.abs(psi_hi)
+        + np.abs(psi_lo)
+        + 0.5 * step * (np.abs(end_lo) + np.abs(end_hi))
+        + (np.abs(lo - u) + np.abs(u)) * slope
+    )
+    # residue of T_a(w) T_b(-w) at u: T_b(-u) / D_a'(u), (S, m_a, 2, m_b)
+    w_b = wr[:, None, None, :, 0]
+    u_b = u[..., None]
+    res = 1.0 / (2.0 * (1j * zeta * wr - u))[..., None] / (w_b * w_b - u_b * u_b - 2j * zeta * w_b * u_b)
+    sums, errs = [], []
+    # w^4 T_a(w) T_b(-w) tends to 1 at infinity; its trapezoid sum has hi - lo more
+    for k, const in ((4, hi - lo), (0, 0.0)):
+        res_k = res * u_b**k
+        # the residues at the lower-half-plane poles of pair (a, b) are the
+        # conjugates of those at the upper poles of pair (b, a)
+        half = (res_k * trap[..., None]).sum(axis=2).real
+        terms = (np.abs(res_k) * size[..., None]).sum(axis=2)
+        sums.append(2.0 * cfg.force_psd * (half + half.transpose(0, 2, 1) + const))
+        errs.append(2.0 * cfg.force_psd * np.finfo(float).eps * (terms + terms.transpose(0, 2, 1) + const))
+    return sums, errs
+
+
+def _peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The largest num^T G num over positions, for each row of a symmetric G."""
+    m = num.shape[1]
+    sq = np.zeros((g.shape[0], num.shape[0]))
+    term = np.empty_like(sq)
+    for a in range(m):
+        for b in range(a, m):
+            pair = num[:, a] * num[:, b] * (1.0 if a == b else 2.0)
+            np.multiply(g[:, a, b, None], pair, out=term)
+            sq += term
+    return sq.max(axis=1)
 
 
 def beam_rms_ensemble(e, rho, cfg: BeamConfig) -> np.ndarray:
@@ -186,55 +255,32 @@ def beam_rms_ensemble(e, rho, cfg: BeamConfig) -> np.ndarray:
 
     Returns an (S, 2) array of [peak acceleration, peak strain].  Results
     for each member depend only on its own (E, rho), never on the batch:
-    every operation is elementwise or a reduction within one row.
+    every operation is elementwise or a reduction within one row.  A member
+    whose relative rounding bound exceeds ``_MAX_ROUNDING``, or whose result
+    is not finite, raises :class:`EvaluationError`.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if e.shape != rho.shape or e.ndim != 1:
         raise ParameterDomainError("E and rho must be 1-D arrays of equal length")
-    omega, w_acc, w_str, num_acc, num_str = _modal_tables(cfg)
-    m = cfg.n_modes
-    out = np.empty((e.size, 2))
-    omega_sq = omega * omega
-    wr = beam_natural_frequencies(e, rho, cfg)  # (S, m)
-    wr_sq = wr**2
-    damp = (2.0 * cfg.modal_damping) * wr
-    # work buffers, private to this call (h may run on several threads)
-    rows = min(BEAM_CHUNK, e.size)
-    re_buf = np.empty((rows, m, omega.size))
-    im_buf = np.empty_like(re_buf)
-    inv_buf = np.empty_like(re_buf)
-    p_buf = np.empty((rows, omega.size))
-    q_buf = np.empty_like(p_buf)
-    g_acc = np.empty((rows, m, m))
-    g_str = np.empty_like(g_acc)
-    for start in range(0, e.size, BEAM_CHUNK):
-        stop = min(start + BEAM_CHUNK, e.size)
-        k = stop - start
-        re, im, inv, p, q = re_buf[:k], im_buf[:k], inv_buf[:k], p_buf[:k], q_buf[:k]
-        # D_r = wr^2 - omega^2 + 2i zeta wr omega, then T_r = 1 / D_r kept in
-        # real parts: re, im become Re D / |D|^2 and Im D / |D|^2 in place
-        np.subtract(wr_sq[start:stop, :, None], omega_sq, out=re)
-        np.multiply(damp[start:stop, :, None], omega, out=im)
-        np.multiply(re, re, out=inv)
-        for a in range(m):
-            np.multiply(im[:, a], im[:, a], out=p)
-            np.add(inv[:, a], p, out=inv[:, a])
-        np.divide(1.0, inv, out=inv)
-        np.multiply(re, inv, out=re)
-        np.multiply(im, inv, out=im)  # sign of Im(T) cancels in the products below
-        for a in range(m):
-            for b in range(a, m):
-                # Re[T_a conj(T_b)], then its two weighted row sums
-                np.multiply(re[:, a], re[:, b], out=p)
-                np.multiply(im[:, a], im[:, b], out=q)
-                np.add(p, q, out=p)
-                np.multiply(p, w_acc, out=q)
-                g_acc[:k, a, b] = g_acc[:k, b, a] = q.sum(axis=1)
-                np.multiply(p, w_str, out=q)
-                g_str[:k, a, b] = g_str[:k, b, a] = q.sum(axis=1)
-        acc_sq = np.einsum("rm,smn,rn->sr", num_acc, g_acc[:k], num_acc)
-        str_sq = np.einsum("rm,smn,rn->sr", num_str, g_str[:k], num_str)
-        out[start:stop, 0] = np.sqrt(np.maximum(acc_sq, 0.0).max(axis=1))
-        out[start:stop, 1] = np.sqrt(np.maximum(str_sq, 0.0).max(axis=1))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums, errs = _cross_spectra(beam_natural_frequencies(e, rho, cfg), cfg)
+        peak = np.empty((e.size, 2))
+        # the peak over positions moves by at most sum_ab max_x |num_a num_b| err_ab
+        shift = np.empty((e.size, 2))
+        for i, (num, g, err) in enumerate(zip(_modal_tables(cfg), sums, errs)):
+            peak[:, i] = _peak(num, g)
+            reach = np.abs(num[:, :, None] * num[:, None, :]).max(axis=0)
+            shift[:, i] = (err * reach).sum(axis=(1, 2))
+        # the square root halves the relative error
+        ok = np.all(0.5 * shift <= _MAX_ROUNDING * peak, axis=1) & np.all(np.isfinite(peak), axis=1)
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.max(0.5 * shift[i] / peak[i])
+        raise EvaluationError(
+            f"beam closed form is not accurate for the row E={float(e[i])!r}, rho={float(rho[i])!r}: "
+            f"relative rounding bound {rel:.3g} (largest allowed {_MAX_ROUNDING:g}) over the "
+            f"frequency span {tuple(map(float, cfg.omega_span))} at modal damping {cfg.modal_damping!r}"
+        )
+    return np.sqrt(peak)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,25 @@ def test_perturbation_bound_vacuous_warning():
     with pytest.warns(RuntimeWarning, match="vacuous"):
         rep = ps.check_perturbation_bound(0.1, 0.2, np.array([1.0, 0.0]), f)
     assert rep.context["vacuous"]
+
+
+def test_perturbation_bound_arrays_match_scalar_calls():
+    # one call over every threshold: elementwise the scalar call's numbers,
+    # and a vacuous bound warns once per call
+    f = ps.FisherMatrix(np.diag([25.0, 50.0]))
+    rng = np.random.default_rng(4)
+    pb, pp = rng.uniform(0.0, 1.0, size=(2, 40))
+    db = np.array([0.05, -0.02])
+    rep = ps.check_perturbation_bound(pb, pp, db, f)
+    scalar = [ps.check_perturbation_bound(b, p, db, f) for b, p in zip(pb, pp)]
+    assert rep.lhs.tolist() == [r.lhs for r in scalar]
+    assert rep.margin.tolist() == [r.margin for r in scalar]
+    assert rep.satisfied.tolist() == [r.satisfied for r in scalar]
+    assert 0 < np.count_nonzero(rep.satisfied) < pb.size
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ps.check_perturbation_bound(pb, pp, np.array([1.0, 0.0]), f)
+    assert [str(w.message) for w in caught] == ["perturbation quadratic form 25 > 1: bound is vacuous"]
 
 
 def test_bound_report_tolerance_rule():

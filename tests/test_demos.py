@@ -1,8 +1,4 @@
-"""The demos and the README quick start run against the current API.
-
-``beam_study.py`` is left out: it takes about half a minute, and the beam
-acceptance fixture runs the same pipeline.
-"""
+"""The demos and the README quick start run against the current API."""
 
 import re
 import runpy
@@ -13,7 +9,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["identity_benchmark.py", "oscillator_study.py", "discrete_geometry.py"])
+@pytest.mark.parametrize(
+    "demo", ["identity_benchmark.py", "oscillator_study.py", "beam_study.py", "discrete_geometry.py"]
+)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert capsys.readouterr().out

@@ -173,6 +173,12 @@ def test_beam_rms_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_beam_excited_at_clamped_end_stays_still():
+    # every mode shape vanishes there: zero output, not a refused row
+    out = beam_rms_ensemble(np.array([69e9, 1e11]), np.array([2700.0, 3000.0]), BeamConfig(excitation_frac=0.0))
+    assert np.array_equal(out, np.zeros((2, 2)))
+
+
 def test_beam_ensemble_matches_batching():
     cfg = BeamConfig()
     rng = np.random.default_rng(0)
@@ -199,14 +205,10 @@ def _lognormal_rows(z):
 @given(z=_BEAM_ROWS, data=st.data())
 def test_beam_ensemble_rows_independent_of_block_order_and_batch(z, data):
     # each row's result depends only on that row: bit-identical for any
-    # block size, any row order, and when the row is evaluated alone
+    # row order, and when the row is evaluated alone
     cfg = BeamConfig()
     e, rho = _lognormal_rows(z)
     ref = beam_rms_ensemble(e, rho, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        for rows in (1, 3, 8, 256):
-            mp.setattr(beam_module, "BEAM_CHUNK", rows)
-            assert np.array_equal(beam_rms_ensemble(e, rho, cfg), ref)
     perm = np.array(data.draw(st.permutations(range(e.size))))
     assert np.array_equal(beam_rms_ensemble(e[perm], rho[perm], cfg), ref[perm])
     alone = np.vstack([beam_rms_ensemble(e[i : i + 1], rho[i : i + 1], cfg) for i in range(e.size)])
@@ -242,6 +244,52 @@ def test_beam_ensemble_matches_direct_modal_sum():
         want = _direct_modal_rms(e[i], rho[i], cfg)
         assert got[i, 0] == pytest.approx(want[0], rel=1e-12)
         assert got[i, 1] == pytest.approx(want[1], rel=1e-12)
+
+
+# rows at the mean and the four +-4 sigma corners
+_DOMAIN_ROWS = np.array([[0.0, 0.0], [4.0, -4.0], [-4.0, 4.0], [4.0, 4.0], [-4.0, -4.0]])
+
+
+@pytest.mark.parametrize("span", [None, (1.0, 20.0), (100.0, 300.0)])
+@pytest.mark.parametrize("zeta", [0.001, 0.1, 0.5, 0.99, 1.5])
+def test_beam_closed_form_accurate_or_refused(zeta, span):
+    cfg = BeamConfig(modal_damping=zeta, omega_span=span)
+    e, rho = _lognormal_rows(_DOMAIN_ROWS)
+    if span is None:
+        beam_rms_ensemble(e, rho, cfg)  # the default span refuses no row
+    # held to 1e-12, every row matches the direct modal sum to 1e-12 or is
+    # refused, and each damping and span keeps rows in the accurate domain
+    accepted = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beam_module, "_MAX_ROUNDING", 1e-12)
+        for i in range(e.size):
+            try:
+                got = beam_rms_ensemble(e[i : i + 1], rho[i : i + 1], cfg)[0]
+            except ps.EvaluationError:
+                continue
+            accepted += 1
+            want = _direct_modal_rms(e[i], rho[i], cfg)
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert got[1] == pytest.approx(want[1], rel=1e-12)
+    assert accepted >= 1
+
+
+@pytest.mark.parametrize(
+    "beam", [{"modal_damping": 1.0}, {"omega_lo": 2000.0, "omega_hi": 4000.0}], ids=["zeta-1", "off-resonance"]
+)
+def test_beam_closed_form_fails_closed(beam, tmp_path, capsys):
+    # a double pole (zeta = 1) or a span far above every mode cancels the
+    # partial fractions: the library raises and the CLI exits 2
+    cfg = build_case(RunConfig(case="beam", beam=beam))
+    e, rho = _lognormal_rows(_DOMAIN_ROWS)
+    with pytest.raises(ps.EvaluationError, match="frequency span"):
+        cfg.h(np.column_stack([e, rho]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"beam": beam}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path), "--case", "beam", "--samples", "1000"])
+    assert exc.value.code == 2
+    assert "frequency span" in capsys.readouterr().err
 
 
 def test_beam_ensemble_threaded_chunks_match_serial():
