@@ -74,15 +74,22 @@ class BoundReport:
         }
 
 
-def check_sensitivity_bound(result: SensitivityResult, f_y: FisherMatrix) -> BoundReport:
+def check_sensitivity_bound(result, f_y: FisherMatrix) -> BoundReport:
     """The threshold's link |grad|^2 <= tr(F_y) of the chain; the link
     tr(F_y) <= tr(F_x) holds for every threshold at once and is
-    :func:`info_processing_check`."""
-    if result.gradient.shape != (f_y.n,):
+    :func:`info_processing_check`.
+
+    ``result`` is one :class:`SensitivityResult`, or a sequence of them (a
+    whole curve) judged elementwise in one comparison, when lhs, satisfied,
+    margin and the z and p_f of the context are arrays.
+    """
+    single = isinstance(result, SensitivityResult)
+    curve = [result] if single else list(result)
+    if any(r.gradient.shape != (f_y.n,) for r in curve):
         raise ContractError("parameter dimensions of gradient and information matrix differ")
-    return BoundReport.of(
-        "grad_norm_sq<=tr_Fy", result.grad_norm_sq, f_y.trace, {"z": result.z, "p_f": result.p_f}
-    )
+    columns = np.array([(r.grad_norm_sq, r.z, r.p_f) for r in curve]).T
+    norm_sq, z, p_f = (c.item() if single else c for c in columns)
+    return BoundReport.of("grad_norm_sq<=tr_Fy", norm_sq, f_y.trace, {"z": z, "p_f": p_f})
 
 
 def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> BoundReport:

@@ -39,7 +39,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, metavar="N")
     p.add_argument("--samples", type=int, metavar="N")
     p.add_argument("--out", metavar="DIR", help="output directory for csv/json files")
-    p.add_argument("--workers", type=int, metavar="N")
+    p.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="threads for the forward map, the only stage that runs in parallel, over fixed "
+        "4096-row chunks: fewer than 4097 samples start no thread; outputs never depend on N",
+    )
 
 
 def main(argv=None) -> int:

@@ -6,19 +6,28 @@ Everything here is a weighted average over the rows of a
 * failure probability          mean of the failure indicator
 * probability gradient         mean of indicator * score  (one run, no re-simulation)
 * finite-difference oracle     mean of indicator * likelihood-ratio weight difference
-* output density and d/db      kernel-smoothed versions of the same sums on a grid
+* output density and d/db      kernel-smoothed versions of the same sums on a grid,
+                               binned onto a fine lattice before smoothing
 * output Fisher information    floored grid quadrature of (dp/db_j)(dp/db_k)/p
 * relative entropy             grid quadrature of p * ln(p/q)
 
 The three indicator-weighted means come from one sorted sweep that serves
-every threshold at once (:func:`_threshold_sums`).  Reductions run in a
-fixed order over fully assembled arrays (numpy's pairwise sums, or
-cumulative sums in sorted order), so results do not depend on how the
-batch was produced.
+every threshold at once (:func:`_threshold_sums`).  The density grid is a
+binned kernel estimator (:func:`estimate_output_density`): the weights are
+binned linearly onto a lattice 16 (1-D) or 2 (2-D) times finer than the
+output axes, and the Gaussian sampled on that lattice, cut at 8 widths, is
+summed at the axis nodes, so the cost grows with the grid, not with N
+times the grid.  Against the exact kernel sum the 1-D density moves by at
+most 9e-8 of its peak and the 2-D beam density by 3e-5; tr(F_y) by 1.3e-9
+and 2.3e-6 relative.  Reductions run in a fixed order over fully assembled
+arrays (numpy's pairwise sums, cumulative sums in sorted order, or one
+``bincount`` per column), so results do not depend on how the batch was
+produced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import InputModel, ScoredSampleBatch
 from .errors import ContractError, EvaluationError, ParameterDomainError
@@ -41,6 +51,12 @@ DENSITY_FLOOR = 1e-6
 
 # grid points per output axis, by output dimension
 _GRID_POINTS = {1: 512, 2: 256}
+
+# Binning lattice spacing is the axis step divided by this, by output
+# dimension, and the sampled kernel is cut at _KERNEL_CUT widths; see
+# estimate_output_density for the measured error and cost.
+_REFINE = {1: 16, 2: 2}
+_KERNEL_CUT = 8.0
 
 
 @dataclass(frozen=True)
@@ -93,12 +109,16 @@ def _threshold_sums(gvals, zs, direction: str, weights=None):
     """Failure-set size and weight column sums at every threshold at once.
 
     ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
-    non-failure for ``above``.  After one stable sort of g, the failure set
-    at each z is a prefix (below) or suffix (above) of the sorted rows, of
-    length found by ``searchsorted(side="right")``; each column sum is then
-    one row of a cumulative sum over the sorted weights.  A threshold's
-    result depends only on its own failure set, never on the other
-    thresholds, and no (thresholds, rows) array is formed.
+    non-failure for ``above``.  The counts need no sort of g: each row's
+    ``searchsorted(side="left")`` position in the stably sorted thresholds
+    is the first threshold with g <= z, so a ``bincount`` of those
+    positions and its cumulative sum give every ``below`` count, returned
+    in the caller's threshold order.  With weights, after one stable sort
+    of g the failure set at each z is a prefix (below) or suffix (above) of
+    the sorted rows of that length; each column sum is then one row of a
+    cumulative sum over the sorted weights.  A threshold's result depends
+    only on its own failure set, never on the other thresholds, and no
+    (thresholds, rows) array is formed.
 
     Returns the counts, shape (T,), and the sums, shape (T,) + weights.shape[1:]
     (None without weights).
@@ -111,11 +131,15 @@ def _threshold_sums(gvals, zs, direction: str, weights=None):
     bad = ~np.isfinite(gvals)
     if np.any(bad):
         raise EvaluationError(f"performance value is not finite at row {int(np.flatnonzero(bad)[0])}")
-    order = np.argsort(gvals, kind="stable")
-    n_below = np.searchsorted(gvals[order], np.asarray(zs, dtype=float), side="right")
+    zs = np.asarray(zs, dtype=float)
+    z_order = np.argsort(zs, kind="stable")
+    first = np.searchsorted(zs[z_order], gvals, side="left")
+    n_below = np.empty(zs.size, dtype=np.intp)
+    n_below[z_order] = np.cumsum(np.bincount(first, minlength=zs.size + 1)[: zs.size])
     counts = n_below if direction == "below" else gvals.size - n_below
     if weights is None:
         return counts, None
+    order = np.argsort(gvals, kind="stable")
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] != gvals.size:
         raise ContractError("weights do not match the performance values in length")
@@ -270,10 +294,67 @@ def _grid_axes(outputs, bandwidth, points_per_dim):
     return tuple(axes)
 
 
-def _gauss(grid: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:
-    """Kernel matrix K[(grid_i - pt_j)/h] / h, shape (grid, pts)."""
-    z = (grid[:, None] - pts[None, :]) / h
-    return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+def _lattice(values, axis, h, refine):
+    """One output axis of the binning lattice: the sampled kernel taps and
+    each row's lattice coordinate.
+
+    The lattice spacing is the axis step divided by ``refine``.  Axis node i
+    is lattice node ``pad + i * refine``, and the lattice runs ``pad`` nodes
+    past both ends of the axis, ``pad`` being the most whole spacings within
+    the kernel cut: beyond it no row reaches an axis node.  The taps are a
+    Gaussian sampled at the spacing from -pad to +pad.
+
+    A row binned between two lattice nodes meets the linear interpolant of
+    the sampled kernel, which has on average the kernel's variance plus
+    spacing^2 / 6, that of the binning hat.  The taps therefore use the
+    width whose variance plus spacing^2 / 6 is h^2, taking off at most half
+    of h^2 when the spacing is coarse.
+
+    Returns ``(taps, coordinates, lattice size)``.
+    """
+    spacing = (axis[-1] - axis[0]) / (axis.size - 1)
+    delta = spacing / refine
+    pad = int(_KERNEL_CUT * h / delta)
+    width = h * math.sqrt(max(1.0 - (delta / h) ** 2 / 6.0, 0.5))
+    t = np.arange(-pad, pad + 1) * (delta / width)
+    taps = np.exp(-0.5 * t * t) / (width * math.sqrt(2.0 * math.pi))
+    return taps, (values - axis[0]) / delta + pad, (axis.size - 1) * refine + 2 * pad + 1
+
+
+def _block(u, size):
+    """Lattice nodes [lo, hi) around the coordinates u, which lie in [0, size - 1]."""
+    lo = int(u.min(initial=size - 2))
+    return lo, max(lo + 2, min(int(u.max(initial=0.0)) + 2, size))
+
+
+def _linear_bin(coords, shape, weights):
+    """Linear (1-D) or bilinear (2-D) binning of weight columns onto a lattice.
+
+    ``coords`` holds one array of lattice coordinates in [0, shape[j] - 1]
+    per axis.  Each row's weight is split between the 2^k nodes of its
+    lattice cell in proportion to the opposite sub-cell volumes, so every
+    column keeps its total.  One ``bincount`` per column over all rows, so
+    the result does not depend on how the rows were produced.
+
+    Yields the lattice sums of one column at a time, each of shape
+    ``shape``, so that only one column's lattice is held at once.
+    """
+    low = [np.minimum(u.astype(np.intp), size - 2) for u, size in zip(coords, shape)]
+    frac = [u - i for u, i in zip(coords, low)]
+    nodes, shares = [], []
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        nodes.append(np.ravel_multi_index([i + c for i, c in zip(low, corner)], shape))
+        shares.append(math.prod(f if c else 1.0 - f for f, c in zip(frac, corner)))
+    nodes, shares = np.concatenate(nodes), np.concatenate(shares)
+    for w in weights.T:
+        yield np.bincount(nodes, shares * np.tile(w, 2 ** len(shape)), math.prod(shape)).reshape(shape)
+
+
+def _kernel_matrix(taps, refine, n_nodes, lo, hi) -> np.ndarray:
+    """Taps between every axis node (rows) and lattice nodes lo..hi-1 (columns)."""
+    offset = np.arange(lo, hi)[None, :] - refine * np.arange(n_nodes)[:, None]
+    inside = (offset >= 0) & (offset < taps.size)
+    return np.where(inside, taps[np.clip(offset, 0, taps.size - 1)], 0.0)
 
 
 def estimate_output_density(
@@ -288,14 +369,35 @@ def estimate_output_density(
     Gaussian kernel; the derivative grids weight the same kernels with the
     (centred) per-sample scores.
 
+    The kernel sums are binned (Wand 1994; Fan & Marron 1994).  The weight
+    columns [1, centred scores] are binned linearly (bilinearly in 2-D)
+    onto a lattice ``_REFINE[k]`` times finer than the output axes (16 in
+    1-D, 2 in 2-D) and aligned with them.  The Gaussian sampled on that
+    lattice, at the width that makes up for the variance the binning adds
+    (:func:`_lattice`), and cut at 8 widths, is then applied once per axis,
+    at the axis nodes only: through strided windows in 1-D, and as two
+    matrix products in 2-D, where only the block of lattice nodes that
+    holds rows is formed.  The lattice spans the axes plus 8 widths on each
+    side, so rows beyond it, such as far outliers from a fixed grid, are
+    dropped and cannot grow memory.
+
+    Against the exact kernel sum (kept in the tests) on the shipped cases
+    at seeds 1, 7 and 141, on the base and the perturbed grid: the 1-D
+    density moves by at most 9e-8 of its peak, tr(F_y) by 1.3e-9 and the
+    KL by 3e-7 relative; the 2-D beam density (2000 and 20000 samples) by
+    3e-5 of its peak, tr(F_y) by 2.3e-6 and the KL by 5.5e-4 relative.  On
+    a 2-core x86-64 machine with one BLAS thread a call takes 0.02 s for
+    1e5 samples in 1-D (1.3 s as an exact sum) and 0.025 s for 2000 beam
+    samples (0.06 s), 0.04 s for 20000 (2.9 s).
+
     Parameters
     ----------
     outputs : (N,) or (N, k) array, k <= 2
     scores : (N, n) score matrix of the generating batch
     bandwidth : optional per-dimension kernel widths (default: KDE rules)
-    axes : optional fixed grid, e.g. to place a perturbed density on the
-        grid of its base case (default: 512 points for k=1, 256 per axis
-        for k=2)
+    axes : optional fixed grid of evenly spaced axes, e.g. to place a
+        perturbed density on the grid of its base case (default: 512
+        points for k=1, 256 per axis for k=2)
     """
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
@@ -308,6 +410,9 @@ def estimate_output_density(
     scores = np.asarray(scores, dtype=float)
     if scores.shape[0] != n:
         raise ContractError("scores do not match outputs in length")
+    bad = ~np.all(np.isfinite(outputs), axis=1)
+    if np.any(bad):
+        raise EvaluationError(f"output is not finite at row {int(np.flatnonzero(bad)[0])}")
 
     if bandwidth is None:
         bandwidth = kde_bandwidth(outputs)
@@ -321,30 +426,29 @@ def estimate_output_density(
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         if len(axes) != k:
             raise ContractError("fixed grid dimension does not match outputs")
+        for a in axes:
+            steps = np.diff(a) if a.ndim == 1 and a.size >= 2 else np.zeros(1)
+            if not (steps.mean() > 0.0 and np.all(np.abs(steps - steps.mean()) <= 1e-6 * steps.mean())):
+                raise ContractError("fixed grid axes must be increasing and evenly spaced")
 
-    n_params = scores.shape[1]
-    centred = scores - scores.mean(axis=0)
-
+    refine = _REFINE[k]
+    taps, coords, sizes = zip(*(_lattice(v, a, h, refine) for v, a, h in zip(outputs.T, axes, bandwidth)))
+    inside = np.logical_and.reduce([(u >= 0.0) & (u <= size - 1) for u, size in zip(coords, sizes)])
+    coords = [u[inside] for u in coords]
+    weights = np.concatenate([np.ones((n, 1)), scores - scores.mean(axis=0)], axis=1)[inside]
+    sums = np.empty((weights.shape[1],) + tuple(a.size for a in axes))
     if k == 1:
-        density = np.zeros(axes[0].size)
-        grads = np.zeros((n_params, axes[0].size))
-        for start, stop in chunk_ranges(n, CHUNK):
-            km = _gauss(axes[0], outputs[start:stop, 0], bandwidth[0])
-            density += km.sum(axis=1)
-            grads += (km @ centred[start:stop]).T
+        for out, cells in zip(sums, _linear_bin(coords, sizes, weights)):
+            # one window of 2 pad + 1 lattice nodes per axis node, without a copy
+            out[:] = sliding_window_view(cells, taps[0].size)[::refine] @ taps[0]
     else:
-        shape = (axes[0].size, axes[1].size)
-        density = np.zeros(shape)
-        grads = np.zeros((n_params,) + shape)
-        for start, stop in chunk_ranges(n, CHUNK):
-            a = _gauss(axes[0], outputs[start:stop, 0], bandwidth[0])
-            b = _gauss(axes[1], outputs[start:stop, 1], bandwidth[1])
-            density += a @ b.T
-            for j in range(n_params):
-                grads[j] += a @ (b * centred[start:stop, j][None, :]).T
-    density /= n
-    grads /= n
-    return DensityGrid(axes=axes, density=density, density_grad=grads, bandwidth=bandwidth)
+        blocks = [_block(u, size) for u, size in zip(coords, sizes)]
+        k0, k1 = (_kernel_matrix(t, refine, a.size, lo, hi) for t, a, (lo, hi) in zip(taps, axes, blocks))
+        lattice = _linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], weights)
+        for out, cells in zip(sums, lattice):
+            out[:] = k0 @ cells @ k1.T
+    sums /= n
+    return DensityGrid(axes=axes, density=sums[0], density_grad=sums[1:], bandwidth=bandwidth)
 
 
 def estimate_output_fim(dg: DensityGrid, floor: float = DENSITY_FLOOR) -> FisherMatrix:

@@ -275,23 +275,21 @@ def run_case(config: RunConfig) -> dict:
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
 
-    rows = []
-    chain_ok = True
-    for pct, res in zip(config.percentiles, curve):
-        rep_norm = check_sensitivity_bound(res, f_y)
-        chain_ok &= rep_norm.satisfied
-        rows.append(
-            {
-                "percentile": pct,
-                "z": res.z,
-                "p_f": res.p_f,
-                "std_err_pf": res.std_err_pf,
-                "gradient": [float(v) for v in res.gradient],
-                "grad_norm_sq": res.grad_norm_sq,
-                "norm_le_tr_fy": rep_norm.satisfied,
-                "margin": rep_norm.margin,
-            }
-        )
+    chain = check_sensitivity_bound(curve, f_y)
+    chain_ok = bool(np.all(chain.satisfied))
+    rows = [
+        {
+            "percentile": pct,
+            "z": res.z,
+            "p_f": res.p_f,
+            "std_err_pf": res.std_err_pf,
+            "gradient": [float(v) for v in res.gradient],
+            "grad_norm_sq": res.grad_norm_sq,
+            "norm_le_tr_fy": ok,
+            "margin": margin,
+        }
+        for pct, res, ok, margin in zip(config.percentiles, curve, chain.satisfied.tolist(), chain.margin.tolist())
+    ]
     info_rep = info_processing_check(f_y, f_x)
 
     # gradient vs likelihood-ratio finite differences at every threshold

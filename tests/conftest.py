@@ -7,12 +7,42 @@ import pytest
 import probsens as ps
 from probsens.errors import ContractError
 from probsens.mclr import DensityGrid
+from probsens.rng import CHUNK, chunk_ranges
 
 
 def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     """Exact Normal pdf evaluated on a grid (for oracle density pairs)."""
     z = (axis - mu) / sigma
     return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def _gauss(grid: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:
+    """Kernel matrix K[(grid_i - pt_j)/h] / h, shape (grid, pts)."""
+    z = (grid[:, None] - pts[None, :]) / h
+    return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+
+
+def exact_output_density(outputs, scores, bandwidth, axes) -> DensityGrid:
+    """The kernel sum of every row at every grid node, with no binning: the
+    reference for the binned estimator, on the same bandwidth and axes."""
+    outputs = np.asarray(outputs, dtype=float).reshape(len(scores), -1)
+    bandwidth = np.asarray(bandwidth, dtype=float)
+    n, n_params = scores.shape
+    centred = scores - scores.mean(axis=0)
+    shape = tuple(ax.size for ax in axes)
+    density = np.zeros(shape)
+    grads = np.zeros((n_params,) + shape)
+    for start, stop in chunk_ranges(n, CHUNK):
+        kms = [_gauss(ax, outputs[start:stop, j], bandwidth[j]) for j, ax in enumerate(axes)]
+        if len(axes) == 1:
+            density += kms[0].sum(axis=1)
+            grads += (kms[0] @ centred[start:stop]).T
+        else:
+            a, b = kms
+            density += a @ b.T
+            for j in range(n_params):
+                grads[j] += a @ (b * centred[start:stop, j][None, :]).T
+    return DensityGrid(axes=axes, density=density / n, density_grad=grads / n, bandwidth=bandwidth)
 
 
 def min_eigenvalue(fim: ps.FisherMatrix) -> float:

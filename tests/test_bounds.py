@@ -93,6 +93,29 @@ def test_sensitivity_bound_reports():
 def test_sensitivity_bound_dimension_mismatch():
     with pytest.raises(ps.ContractError):
         ps.check_sensitivity_bound(_result([1.0]), ps.FisherMatrix(np.diag([1.0, 2.0])))
+    with pytest.raises(ps.ContractError):  # one bad row in a curve
+        ps.check_sensitivity_bound([_result([1.0, 0.0]), _result([1.0])], ps.FisherMatrix(np.diag([1.0, 2.0])))
+
+
+def test_sensitivity_bound_curve_matches_scalar_calls():
+    # one call over a whole curve: elementwise the scalar call's numbers,
+    # including rows at the bound, inside its tolerance and just past it
+    f_y = ps.FisherMatrix(np.diag([20.0, 40.0]))
+    rng = np.random.default_rng(5)
+    grads = [rng.normal(0.0, 5.0, size=2) for _ in range(40)]
+    edge = np.sqrt(f_y.trace / 2.0)
+    grads += [np.array([edge, edge]), np.array([edge, edge * (1 + 1e-14)]), np.array([edge, edge * (1 + 1e-9)])]
+    curve = [_result(g, z=0.1 * i, p_f=i / 50) for i, g in enumerate(grads)]
+    rep = ps.check_sensitivity_bound(curve, f_y)
+    scalar = [ps.check_sensitivity_bound(r, f_y) for r in curve]
+    assert rep.lhs.tolist() == [r.lhs for r in scalar]
+    assert rep.margin.tolist() == [r.margin for r in scalar]
+    assert rep.satisfied.tolist() == [r.satisfied for r in scalar]
+    assert rep.satisfied.tolist()[-3:] == [True, True, False]
+    assert 0 < np.count_nonzero(rep.satisfied) < len(curve)
+    assert rep.context["z"].tolist() == [r.context["z"] for r in scalar]
+    assert rep.context["p_f"].tolist() == [r.context["p_f"] for r in scalar]
+    assert all(type(r.context["z"]) is float and type(r.margin) is float for r in scalar)
 
 
 def test_perturbation_bound_zero_shift():

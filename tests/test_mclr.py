@@ -177,6 +177,14 @@ def test_density_input_contracts(batch):
         ps.estimate_output_density(
             batch.draws[:, 0], batch.scores, axes=(np.linspace(0, 2, 64), np.linspace(0, 2, 64))
         )
+    # the binning lattice needs evenly spaced increasing axes
+    for axis in (np.linspace(0, 2, 64) ** 2, np.linspace(2, 0, 64), np.ones(64), np.array([1.0])):
+        with pytest.raises(ps.ContractError, match="evenly spaced"):
+            ps.estimate_output_density(batch.draws[:, 0], batch.scores, axes=(axis,))
+    y = batch.draws[:, 0].copy()
+    y[9] = np.nan
+    with pytest.raises(ps.EvaluationError, match="row 9"):
+        ps.estimate_output_density(y, batch.scores)
 
 
 def test_output_fim_identity_trace(grid):

@@ -109,6 +109,10 @@ def test_identity_run_report_content(tmp_path):
     assert (tmp_path / "report.json").exists()
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["provenance"]["seed"] == 1
+    # the chain is judged in one comparison; each row reads as its scalar call
+    for row in on_disk["rows"]:
+        rep = ps.BoundReport.of("grad_norm_sq<=tr_Fy", row["grad_norm_sq"], on_disk["tr_fy"])
+        assert (row["norm_le_tr_fy"], row["margin"]) == (rep.satisfied, rep.margin)
     # curve.csv columns per the interface contract
     header = (tmp_path / "curve.csv").read_text().splitlines()[0].split(",")
     assert header[:4] == ["percentile", "z", "p_f", "std_err_pf"]

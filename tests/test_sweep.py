@@ -59,6 +59,13 @@ def _reference_fd(gvals, zs, model, batch, direction, rel_step):
     return np.array([wdiff @ _reference_indicator(gvals, z, direction) / batch.n for z in zs])
 
 
+def _reference_sorted_counts(gvals, zs, direction):
+    """How the sweep counted before counting without a sort of g: the
+    thresholds' ``searchsorted(side="right")`` positions in the sorted g."""
+    n_below = np.searchsorted(np.sort(gvals, kind="stable"), zs, side="right")
+    return n_below if direction == "below" else gvals.size - n_below
+
+
 def _reference_pf(gvals, zs, direction):
     return np.array([float(np.mean(_reference_indicator(gvals, z, direction))) for z in zs])
 
@@ -170,3 +177,16 @@ def test_one_threshold_call_matches_curve_row(sweep, direction, percentiles):
         counts, sums = _threshold_sums(gvals, [res.z], direction, weights)
         assert res.p_f == counts[0] / n
         assert np.array_equal(res.gradient, sums[0, :2] / n)
+
+
+@settings(deadline=None)
+@given(sweeps(), st.sampled_from(["above", "below"]), st.randoms(use_true_random=False))
+def test_count_only_sweep_matches_sorted_counts(sweep, direction, rnd):
+    # thresholds on tied values, repeated and out of order
+    gvals, weights, zs = sweep
+    zs = np.concatenate([zs, zs[: len(zs) // 2 + 1]])
+    rnd.shuffle(zs)
+    counts, sums = _threshold_sums(gvals, zs, direction)
+    assert sums is None and counts.dtype.kind == "i"
+    assert np.array_equal(counts, _reference_sorted_counts(gvals, zs, direction))
+    assert np.array_equal(counts, _threshold_sums(gvals, zs, direction, weights)[0])
