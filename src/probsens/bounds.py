@@ -74,14 +74,14 @@ class BoundReport:
         }
 
 
-def check_sensitivity_bound(result, f_y: FisherMatrix) -> BoundReport:
+def check_sensitivity_bound(result: SensitivityResult | list[SensitivityResult], f_y: FisherMatrix) -> BoundReport:
     """The threshold's link |grad|^2 <= tr(F_y) of the chain; the link
     tr(F_y) <= tr(F_x) holds for every threshold at once and is
     :func:`info_processing_check`.
 
     ``result`` is one :class:`SensitivityResult`, or a sequence of them (a
-    whole curve) judged elementwise in one comparison, when lhs, satisfied,
-    margin and the z and p_f of the context are arrays.
+    whole curve) judged elementwise in one comparison; lhs, satisfied,
+    margin and the context's z and p_f are then arrays.
     """
     single = isinstance(result, SensitivityResult)
     curve = [result] if single else list(result)

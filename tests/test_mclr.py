@@ -178,7 +178,9 @@ def test_density_input_contracts(batch):
             batch.draws[:, 0], batch.scores, axes=(np.linspace(0, 2, 64), np.linspace(0, 2, 64))
         )
     # the binning lattice needs evenly spaced increasing axes
-    for axis in (np.linspace(0, 2, 64) ** 2, np.linspace(2, 0, 64), np.ones(64), np.array([1.0])):
+    bad_axes = (np.linspace(0, 2, 64) ** 2, np.linspace(2, 0, 64), np.ones(64), np.array([1.0]),
+                np.array([0.0, np.inf, 2.0]), np.array([np.nan, 1.0, 2.0]), np.ones((8, 8)))
+    for axis in bad_axes:
         with pytest.raises(ps.ContractError, match="evenly spaced"):
             ps.estimate_output_density(batch.draws[:, 0], batch.scores, axes=(axis,))
     y = batch.draws[:, 0].copy()
