@@ -440,7 +440,7 @@ def estimate_output_density(
     if k == 1:
         for out, cells in zip(sums, _linear_bin(coords, sizes, weights)):
             # the 2 pad + 1 lattice nodes around each axis node, read in place:
-            # a dense kernel matrix would hold nodes x lattice taps (40 MB at 1e5 samples)
+            # a dense kernel matrix would hold nodes x lattice taps, about 40 MB for identity
             out[:] = sliding_window_view(cells, taps[0].size)[::refine] @ taps[0]
     else:
         blocks = [_block(u, size) for u, size in zip(coords, sizes)]

@@ -116,10 +116,10 @@ def test_rows_off_a_fixed_grid(k):
         assert np.all(np.isfinite(grid.density)) and np.all(np.isfinite(grid.density_grad))
         _assert_grids_close(grid, exact_output_density(y, scores, dg.bandwidth, dg.axes), bounds)
 
-    def run(y):
+    def density_of(y):
         return lambda: ps.estimate_output_density(y, scores, bandwidth=dg.bandwidth, axes=dg.axes)
 
-    assert _peak_bytes(run(far)) <= 1.05 * _peak_bytes(run(shifted))
+    assert _peak_bytes(density_of(far)) <= 1.05 * _peak_bytes(density_of(shifted))
     # a grid of the batch's own range: its far row only widens the axes
     assert np.all(np.isfinite(ps.estimate_output_density(far, scores).density))
 
