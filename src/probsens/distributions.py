@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ContractError, ParameterDomainError, SupportError
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges, uniform_open
+from .special import ndtri
 
 _FAMILIES = ("normal", "lognormal")
 
@@ -219,13 +219,15 @@ def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSa
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
     Column j uses the counter-based stream (seed, j); the chunk size only
-    batches the work and never changes the output bits.
+    batches the uniform draws and never changes the output bits.  The
+    inverse CDF then maps each whole column at once.
     """
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
     draws = np.empty((n, model.n_inputs))
+    u = np.empty(n)
     for j, marg in enumerate(model.marginals):
         for start, stop in chunk_ranges(n, chunk):
-            u = uniform_open(seed, j, start, stop - start)
-            draws[start:stop, j] = marg.ppf(u)
+            u[start:stop] = uniform_open(seed, j, start, stop - start)
+        draws[:, j] = marg.ppf(u)
     return ScoredSampleBatch(draws=draws, scores=model.scores(draws), seed=seed)

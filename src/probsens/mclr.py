@@ -105,41 +105,65 @@ def evaluate_outputs(
     return outputs
 
 
-def _threshold_sums(gvals, zs, direction: str, weights=None):
-    """Failure-set size and weight column sums at every threshold at once.
-
-    ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
-    non-failure for ``above``.  The counts need no sort of g: each row's
-    ``searchsorted(side="left")`` position in the stably sorted thresholds
-    is the first threshold with g <= z, so a ``bincount`` of those
-    positions and its cumulative sum give every ``below`` count, returned
-    in the caller's threshold order.  With weights, after one stable sort
-    of g the failure set at each z is a prefix (below) or suffix (above) of
-    the sorted rows of that length; each column sum is then one row of a
-    cumulative sum over the sorted weights.  A threshold's result depends
-    only on its own failure set, never on the other thresholds, and no
-    (thresholds, rows) array is formed.
-
-    Returns the counts, shape (T,), and the sums, shape (T,) + weights.shape[1:]
-    (None without weights).
-    """
-    if direction not in _DIRECTIONS:
-        raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+def _performance_values(gvals) -> np.ndarray:
+    """The performance values as a float vector; a non-finite one raises."""
     gvals = np.asarray(gvals, dtype=float)
     if gvals.ndim != 1:
         raise ContractError("performance function must reduce outputs to one scalar per row")
     bad = ~np.isfinite(gvals)
     if np.any(bad):
         raise EvaluationError(f"performance value is not finite at row {int(np.flatnonzero(bad)[0])}")
+    return gvals
+
+
+def _linear_percentiles(sorted_g: np.ndarray, percentiles: np.ndarray) -> np.ndarray:
+    """``np.percentile(g, percentiles)`` from the sorted g, bit for bit.
+
+    numpy's default ``linear`` rule: the virtual index (n - 1) p / 100, and
+    between its two neighbours the interpolation ``a + (b - a) t`` for a
+    fraction t < 1/2 and ``b - (b - a)(1 - t)`` otherwise.  It spares the
+    ``numpy.ma`` import that ``np.percentile`` makes on first use.
+    """
+    virtual = (sorted_g.size - 1) * (percentiles / 100)
+    below = np.floor(virtual)
+    t = virtual - below
+    lo = below.astype(np.intp)
+    a, b = sorted_g[lo], sorted_g[np.minimum(lo + 1, sorted_g.size - 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
+    """Failure-set size and weight column sums at every threshold at once.
+
+    ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
+    non-failure for ``above``.  The ``below`` count at z is the
+    ``searchsorted(side="right")`` position of z in the sorted g; counts
+    alone need only ``np.sort``.  With weights, after one stable sort of g
+    (``order``, its ``argsort(kind="stable")``, when the caller already
+    holds it) the failure set at each z is a prefix (below) or suffix
+    (above) of the sorted rows of that length; each column sum is then one
+    row of a cumulative sum over the sorted weights.  A threshold's result
+    depends only on its own failure set, never on the other thresholds,
+    and no (thresholds, rows) array is formed.
+
+    Returns the counts, shape (T,), and the sums, shape (T,) + weights.shape[1:]
+    (None without weights).
+    """
+    if direction not in _DIRECTIONS:
+        raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    gvals = _performance_values(gvals)
     zs = np.asarray(zs, dtype=float)
-    z_order = np.argsort(zs, kind="stable")
-    first = np.searchsorted(zs[z_order], gvals, side="left")
-    n_below = np.empty(zs.size, dtype=np.intp)
-    n_below[z_order] = np.cumsum(np.bincount(first, minlength=zs.size + 1)[: zs.size])
+    if weights is None and order is None:
+        sorted_g = np.sort(gvals)
+    else:
+        if order is None:
+            order = np.argsort(gvals, kind="stable")
+        sorted_g = gvals[order]
+    n_below = np.searchsorted(sorted_g, zs, side="right")
     counts = n_below if direction == "below" else gvals.size - n_below
     if weights is None:
         return counts, None
-    order = np.argsort(gvals, kind="stable")
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] != gvals.size:
         raise ContractError("weights do not match the performance values in length")
@@ -157,6 +181,8 @@ def estimate_gradient_fd(
     direction: str = "above",
     rel_step: float = 1e-2,
     steps=None,
+    *,
+    _order=None,
 ) -> np.ndarray:
     """Finite-difference gradient oracle at every threshold, on the same draws.
 
@@ -170,6 +196,7 @@ def estimate_gradient_fd(
     owning marginal's sigma), which keeps the likelihood-ratio exponents
     of order rel_step; pass ``steps`` for explicit per-parameter control.
     Returns one row of n_params components per threshold in ``zs``.
+    ``_order`` is the stable argsort of ``gvals`` when the caller holds it.
     """
     if steps is None:
         steps = rel_step * model.param_scales()
@@ -185,11 +212,13 @@ def estimate_gradient_fd(
         w_plus = np.exp(model.shifted(db).logpdf(batch.draws) - base_logp)
         w_minus = np.exp(model.shifted(-db).logpdf(batch.draws) - base_logp)
         wdiff[:, j] = (w_plus - w_minus) / (2.0 * step)
-    _, sums = _threshold_sums(gvals, zs, direction, wdiff)
+    _, sums = _threshold_sums(gvals, zs, direction, wdiff, _order)
     return sums / batch.n
 
 
-def sensitivity_curve(gvals, scores, percentiles, direction: str = "above") -> list[SensitivityResult]:
+def sensitivity_curve(
+    gvals, scores, percentiles, direction: str = "above", *, _order=None
+) -> list[SensitivityResult]:
     """One SensitivityResult per threshold, thresholds taken as empirical
     percentiles of the performance values ``gvals``, one per row of the
     (N, n) ``scores``.
@@ -197,20 +226,22 @@ def sensitivity_curve(gvals, scores, percentiles, direction: str = "above") -> l
     At each threshold z: P_f is the failure-set fraction, the gradient the
     mean of indicator * score, and its per-component standard error the
     sample std (ddof=1) of that summand / sqrt(N), from the summand's first
-    two moments.
+    two moments.  ``_order`` is the stable argsort of ``gvals`` when the
+    caller holds it.
     """
     percentiles = np.asarray(percentiles, dtype=float)
     if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
-    gvals = np.asarray(gvals, dtype=float)
+    gvals = _performance_values(gvals)
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != gvals.size:
         raise ContractError("scores must be an (N, n) matrix with one row per performance value")
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
-    zs = np.percentile(gvals, percentiles)
+    order = np.argsort(gvals, kind="stable") if _order is None else _order
+    zs = _linear_percentiles(gvals[order], percentiles)
     n, n_params = scores.shape
-    counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1))
+    counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1), order)
     grads = sums[:, :n_params] / n
     var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
     grad_se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)

@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from ..distributions import MarginalSpec, lognormal
 from ..errors import ConfigError, EvaluationError, ParameterDomainError
+from ..special import DIGAMMA_ERROR, digamma
 
 # Largest rounding bound a returned row may carry, relative to its output.
 _MAX_ROUNDING = 1e-10
@@ -203,10 +203,11 @@ def _cross_spectra(wr: np.ndarray, cfg: BeamConfig):
     u = wr * (np.sqrt(1.0 - zeta * zeta + 0j) * np.array([1.0, -1.0])) + 1j * zeta * wr
     # trapezoid sum of 1 / (w - u) over the grid lo + i step, i < n
     a = (lo - u) / step
-    psi_hi, psi_lo = psi(a + n), psi(a)
+    psi_hi, psi_lo = digamma(a + n), digamma(a)
     end_lo, end_hi = 1.0 / (lo - u), 1.0 / (hi - u)
     trap = psi_hi - psi_lo - 0.5 * step * (end_lo + end_hi)
     # what eps-relative rounding can move it by: the magnitudes of its parts,
+    # each digamma's own error of DIGAMMA_ERROR eps |psi|,
     # plus (|lo - u| + |u|) times the sum of step / |w - u|^2 over the grid,
     # for rounding of the pole u itself; that sum is at most
     # pi / y + step / y^2 (y = Im u) and at most (hi - lo + step) / d^2 (d the
@@ -215,8 +216,7 @@ def _cross_spectra(wr: np.ndarray, cfg: BeamConfig):
     gap = np.maximum(np.maximum(lo - u.real, u.real - hi), 0.0)
     slope = np.minimum(math.pi / y + step / (y * y), (hi - lo + step) / (y * y + gap * gap))
     size = (
-        np.abs(psi_hi)
-        + np.abs(psi_lo)
+        (1.0 + DIGAMMA_ERROR) * (np.abs(psi_hi) + np.abs(psi_lo))
         + 0.5 * step * (np.abs(end_lo) + np.abs(end_hi))
         + (np.abs(lo - u) + np.abs(u)) * slope
     )

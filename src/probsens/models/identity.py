@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ParameterDomainError
+from ..special import ndtr
 
 
 @dataclass(frozen=True)

@@ -265,8 +265,9 @@ def run_case(config: RunConfig) -> dict:
     y = outputs / scale
     gvals = case.g(y)
 
-    # threshold sweep
-    curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction)
+    # threshold sweep; one stable sort of g serves the curve and the FD check
+    order = np.argsort(gvals, kind="stable")
+    curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction, _order=order)
     zs = np.array([r.z for r in curve])
 
     # output density, output/input information
@@ -293,7 +294,7 @@ def run_case(config: RunConfig) -> dict:
     info_rep = info_processing_check(f_y, f_x)
 
     # gradient vs likelihood-ratio finite differences at every threshold
-    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step)
+    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step, order)
 
     # perturbation bound on paired common-random-number runs
     if config.perturbations is not None:
@@ -372,7 +373,7 @@ def run_case(config: RunConfig) -> dict:
     }
 
 
-def _fd_check(case, batch, gvals, curve, percentiles, rel_step) -> dict:
+def _fd_check(case, batch, gvals, curve, percentiles, rel_step, order=None) -> dict:
     """Compare the curve's score-weighted gradients against likelihood-ratio
     central differences on the same draws, at every threshold.
 
@@ -381,7 +382,7 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step) -> dict:
     """
     zs = np.array([r.z for r in curve])
     grads = np.array([r.gradient for r in curve])
-    fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=rel_step)
+    fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=rel_step, _order=order)
     big = np.abs(grads) > 0.1
     rels = np.abs(grads - fds)[big] / np.abs(grads[big])
     detail = [

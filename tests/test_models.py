@@ -274,8 +274,18 @@ def test_beam_closed_form_accurate_or_refused(zeta, span):
     assert accepted >= 1
 
 
+def test_beam_default_rounding_bound_below_1e_14():
+    # the bound counts the digamma's own measured error; rows out to 6 sigma
+    # of the default configuration still carry a bound below 1e-14
+    t = np.linspace(-6.0, 6.0, 13)
+    e, rho = _lognormal_rows(np.array([[a, b] for a in t for b in t]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beam_module, "_MAX_ROUNDING", 1e-14)
+        assert np.all(np.isfinite(beam_rms_ensemble(e, rho, BeamConfig())))
+
+
 @pytest.mark.parametrize(
-    "beam", [{"modal_damping": 1.0}, {"omega_lo": 2000.0, "omega_hi": 4000.0}], ids=["zeta-1", "off-resonance"]
+    "beam",[{"modal_damping": 1.0}, {"omega_lo": 2000.0, "omega_hi": 4000.0}], ids=["zeta-1", "off-resonance"]
 )
 def test_beam_closed_form_fails_closed(beam, tmp_path, capsys):
     # a double pole (zeta = 1) or a span far above every mode cancels the
