@@ -28,19 +28,16 @@ curve = ps.sensitivity_curve(g(h(batch.draws)), batch.scores, np.arange(5, 100, 
 
 print(f"identity benchmark: mu={MU}, sigma={SIGMA}, N={N}")
 print(f"{'z':>8} {'P_f':>8} {'dP/dmu':>9} {'dP/dsig':>9} {'norm^2':>8} {'exact':>8}")
-for res in curve:
-    exact = float(identity_analytic(MU, SIGMA, res.z).norm_sq)
-    print(
-        f"{res.z:8.4f} {res.p_f:8.4f} {res.gradient[0]:9.4f} "
-        f"{res.gradient[1]:9.4f} {res.grad_norm_sq:8.4f} {exact:8.4f}"
-    )
+exact = identity_analytic(MU, SIGMA, curve.z).norm_sq
+for z, p_f, (d_mu, d_sigma), norm_sq, ex in zip(curve.z, curve.p_f, curve.gradient, curve.grad_norm_sq, exact):
+    print(f"{z:8.4f} {p_f:8.4f} {d_mu:9.4f} {d_sigma:9.4f} {norm_sq:8.4f} {ex:8.4f}")
 
 # The gradient norm is capped by the Fisher information trace: here the
 # output information equals the input information because y = x.
 dg = ps.estimate_output_density(batch.draws[:, 0], batch.scores)
 f_y = ps.estimate_output_fim(dg)
 f_x = model.fim()
-peak = max(r.grad_norm_sq for r in curve)
+peak = curve.grad_norm_sq.max()
 print(f"\npeak norm^2        {peak:8.4f}   (closed form {1/(2*np.pi*SIGMA**2):.4f})")
 print(f"tr(F_y) estimated  {f_y.trace:8.4f}   (analytic {f_x.trace:.1f})")
 print(f"bound chain: {peak:.3f} <= {f_y.trace:.3f} <= {f_x.trace:.1f}")

@@ -74,22 +74,17 @@ class BoundReport:
         }
 
 
-def check_sensitivity_bound(result: SensitivityResult | list[SensitivityResult], f_y: FisherMatrix) -> BoundReport:
-    """The threshold's link |grad|^2 <= tr(F_y) of the chain; the link
-    tr(F_y) <= tr(F_x) holds for every threshold at once and is
-    :func:`info_processing_check`.
+def check_sensitivity_bound(curve: SensitivityResult, f_y: FisherMatrix) -> BoundReport:
+    """The link |grad|^2 <= tr(F_y) of the chain at every threshold of
+    ``curve``, judged in one comparison; the link tr(F_y) <= tr(F_x) holds
+    for every threshold at once and is :func:`info_processing_check`.
 
-    ``result`` is one :class:`SensitivityResult`, or a sequence of them (a
-    whole curve) judged elementwise in one comparison; lhs, satisfied,
-    margin and the context's z and p_f are then arrays.
+    lhs, satisfied and margin are arrays of shape (T,), one entry per row
+    of the curve, and the context holds the curve's z and p_f columns.
     """
-    single = isinstance(result, SensitivityResult)
-    curve = [result] if single else list(result)
-    if any(r.gradient.shape != (f_y.n,) for r in curve):
+    if curve.gradient.shape[1:] != (f_y.n,):
         raise ContractError("parameter dimensions of gradient and information matrix differ")
-    columns = np.array([(r.grad_norm_sq, r.z, r.p_f) for r in curve]).T
-    norm_sq, z, p_f = (c.item() if single else c for c in columns)
-    return BoundReport.of("grad_norm_sq<=tr_Fy", norm_sq, f_y.trace, {"z": z, "p_f": p_f})
+    return BoundReport.of("grad_norm_sq<=tr_Fy", curve.grad_norm_sq, f_y.trace, {"z": curve.z, "p_f": curve.p_f})
 
 
 def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> BoundReport:

@@ -61,14 +61,22 @@ _KERNEL_CUT = 8.0
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Failure probability and its parameter gradient at one threshold."""
+    """Failure probability and its parameter gradient along a whole curve.
 
-    z: float
-    p_f: float
+    Row t of every column belongs to threshold ``z[t]``: ``z``, ``p_f``,
+    ``grad_norm_sq`` and ``std_err_pf`` have shape (T,), ``gradient`` and
+    ``grad_std_err`` shape (T, n).  ``len`` is T.
+    """
+
+    z: np.ndarray
+    p_f: np.ndarray
     gradient: np.ndarray = field(repr=False)
-    grad_norm_sq: float
-    std_err_pf: float
+    grad_norm_sq: np.ndarray
+    std_err_pf: np.ndarray
     grad_std_err: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.z.size
 
 
 def evaluate_outputs(
@@ -218,10 +226,10 @@ def estimate_gradient_fd(
 
 def sensitivity_curve(
     gvals, scores, percentiles, direction: str = "above", *, _order=None
-) -> list[SensitivityResult]:
-    """One SensitivityResult per threshold, thresholds taken as empirical
-    percentiles of the performance values ``gvals``, one per row of the
-    (N, n) ``scores``.
+) -> SensitivityResult:
+    """The sensitivity curve over thresholds taken as empirical percentiles
+    of the performance values ``gvals``, one per row of the (N, n)
+    ``scores``; one row of every column per percentile.
 
     At each threshold z: P_f is the failure-set fraction, the gradient the
     mean of indicator * score, and its per-component standard error the
@@ -244,21 +252,15 @@ def sensitivity_curve(
     counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1), order)
     grads = sums[:, :n_params] / n
     var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
-    grad_se = np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n)
-    results = []
-    for z, count, grad, se in zip(zs, counts, grads, grad_se):
-        pf = float(count / n)
-        results.append(
-            SensitivityResult(
-                z=float(z),
-                p_f=pf,
-                gradient=grad,
-                grad_norm_sq=float(grad @ grad),
-                std_err_pf=math.sqrt(pf * (1.0 - pf) / n),
-                grad_std_err=se,
-            )
-        )
-    return results
+    p_f = counts / n
+    return SensitivityResult(
+        z=zs,
+        p_f=p_f,
+        gradient=grads,
+        grad_norm_sq=np.vecdot(grads, grads),
+        std_err_pf=np.sqrt(p_f * (1.0 - p_f) / n),
+        grad_std_err=np.sqrt(np.maximum(var, 0.0)) / math.sqrt(n),
+    )
 
 
 @dataclass(frozen=True)
@@ -425,7 +427,8 @@ def estimate_output_density(
     ----------
     outputs : (N,) or (N, k) array, k <= 2
     scores : (N, n) score matrix of the generating batch
-    bandwidth : optional per-dimension kernel widths (default: KDE rules)
+    bandwidth : optional kernel widths, one or one per output dimension,
+        each positive and finite (default: KDE rules)
     axes : optional fixed grid of evenly spaced axes, e.g. to place a
         perturbed density on the grid of its base case (default: 512
         points for k=1, 256 per axis for k=2)
@@ -447,9 +450,12 @@ def estimate_output_density(
 
     if bandwidth is None:
         bandwidth = kde_bandwidth(outputs)
-    bandwidth = np.broadcast_to(np.asarray(bandwidth, dtype=float), (k,)).copy()
-    if np.any(bandwidth <= 0.0):
-        raise ParameterDomainError("bandwidth must be positive")
+    bandwidth = np.asarray(bandwidth, dtype=float)
+    if bandwidth.ndim > 1 or bandwidth.size not in (1, k):
+        raise ContractError(f"bandwidth needs one width or one per output dimension ({k}), got {bandwidth.shape}")
+    bandwidth = np.broadcast_to(bandwidth, (k,)).copy()
+    if not np.all(np.isfinite(bandwidth) & (bandwidth > 0.0)):
+        raise ParameterDomainError(f"bandwidth must be positive and finite, got {bandwidth.tolist()}")
 
     if axes is None:
         axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])

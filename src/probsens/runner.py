@@ -12,7 +12,6 @@ files under any worker count.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -224,7 +223,7 @@ def build_case(config: RunConfig) -> CaseStudy:
         beam_cfg = _beam_config(config.beam)
         return CaseStudy(
             name="beam",
-            model=InputModel((lognormal(24.85, 0.47), lognormal(7.88, 0.2))),
+            model=InputModel((beam_cfg.e_spec, beam_cfg.rho_spec)),
             h=lambda x: beam_rms_ensemble(x[:, 0], x[:, 1], beam_cfg),
             # squared sum of the peak responses, each normalised by its ensemble maximum
             g=lambda y: y[:, 0] ** 2 + y[:, 1] ** 2,
@@ -268,29 +267,25 @@ def run_case(config: RunConfig) -> dict:
     # threshold sweep; one stable sort of g serves the curve and the FD check
     order = np.argsort(gvals, kind="stable")
     curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction, _order=order)
-    zs = np.array([r.z for r in curve])
 
     # output density, output/input information
-    bandwidth = np.asarray(config.bandwidth, dtype=float) if config.bandwidth else None
-    dg = estimate_output_density(y, batch.scores, bandwidth=bandwidth)
+    dg = estimate_output_density(y, batch.scores, bandwidth=config.bandwidth)
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
 
     chain = check_sensitivity_bound(curve, f_y)
     chain_ok = bool(np.all(chain.satisfied))
-    rows = [
-        {
-            "percentile": pct,
-            "z": res.z,
-            "p_f": res.p_f,
-            "std_err_pf": res.std_err_pf,
-            "gradient": [float(v) for v in res.gradient],
-            "grad_norm_sq": res.grad_norm_sq,
-            "norm_le_tr_fy": ok,
-            "margin": margin,
-        }
-        for pct, res, ok, margin in zip(config.percentiles, curve, chain.satisfied.tolist(), chain.margin.tolist())
-    ]
+    columns = {
+        "percentile": config.percentiles,
+        "z": curve.z.tolist(),
+        "p_f": curve.p_f.tolist(),
+        "std_err_pf": curve.std_err_pf.tolist(),
+        "gradient": curve.gradient.tolist(),
+        "grad_norm_sq": curve.grad_norm_sq.tolist(),
+        "norm_le_tr_fy": chain.satisfied.tolist(),
+        "margin": chain.margin.tolist(),
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     info_rep = info_processing_check(f_y, f_x)
 
     # gradient vs likelihood-ratio finite differences at every threshold
@@ -304,14 +299,13 @@ def run_case(config: RunConfig) -> dict:
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
-    pf_base = np.array([r.p_f for r in curve])
     for db in dbs:
         shifted = model.shifted(db)
         batch_p = sample(shifted, n, config.seed)
         y_p = evaluate_outputs(case.h, batch_p.draws, workers=config.workers) / scale
-        pf_p = _threshold_sums(case.g(y_p), zs, case.direction)[0] / n
-        rx = check_perturbation_bound(pf_base, pf_p, db, f_x)
-        ry = check_perturbation_bound(pf_base, pf_p, db, f_y)
+        pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
+        rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)
+        ry = check_perturbation_bound(curve.p_f, pf_p, db, f_y)
         viol_x = int(np.count_nonzero(~rx.satisfied))
         viol_y = int(np.count_nonzero(~ry.satisfied))
         all_pert_ok &= viol_x == 0 and viol_y == 0
@@ -321,7 +315,7 @@ def run_case(config: RunConfig) -> dict:
                 "quad_fx": f_x.quad_form(db),
                 "quad_fy": f_y.quad_form(db),
                 "delta_h_fx": 0.5 * f_x.quad_form(db),
-                "max_dpf_sq": float(np.max((pf_p - pf_base) ** 2)),
+                "max_dpf_sq": float(np.max((pf_p - curve.p_f) ** 2)),
                 "violations_fx": viol_x,
                 "violations_fy": viol_y,
                 "worst_margin": float(min(rx.margin.min(), ry.margin.min())),
@@ -380,8 +374,7 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step, order=None) -> d
     Components with |value| <= 0.1 are skipped (relative error of a
     near-zero quantity is uninformative).
     """
-    zs = np.array([r.z for r in curve])
-    grads = np.array([r.gradient for r in curve])
+    zs, grads = curve.z, curve.gradient
     fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=rel_step, _order=order)
     big = np.abs(grads) > 0.1
     rels = np.abs(grads - fds)[big] / np.abs(grads[big])
@@ -428,14 +421,20 @@ def _run_discrete_oracle(config: RunConfig) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(x))
-
-
-def _fmt_all(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` of every element, in C order."""
+def _fmt_all(values) -> list[str]:
+    """The shortest decimal that round-trips to the same float, for every
+    element in C order."""
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_csv(path: Path, header: list[str], columns: list[list[str]]) -> None:
+    """One header line, then one line per row of the formatted columns.
+
+    Every field is a float repr or a header name: nothing needs quoting.
+    """
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
 def write_outputs(report: dict, out_dir: str) -> list[str]:
@@ -445,26 +444,18 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
     written = []
 
     dg = report.pop("_density_grid", None)
-    if report.get("rows"):
-        param_names = report["param_names"]
+    param_names = report.get("param_names")
+    rows = report.get("rows")
+    if rows:
         path = out / "curve.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(
-                ["percentile", "z", "p_f", "std_err_pf"]
-                + [f"grad_{name}" for name in param_names]
-                + ["grad_norm_sq", "tr_fy", "tr_fx"]
-            )
-            for row in report["rows"]:
-                w.writerow(
-                    [_fmt(row["percentile"]), _fmt(row["z"]), _fmt(row["p_f"]), _fmt(row["std_err_pf"])]
-                    + [_fmt(v) for v in row["gradient"]]
-                    + [_fmt(row["grad_norm_sq"]), _fmt(report["tr_fy"]), _fmt(report["tr_fx"])]
-                )
+        keys = ("percentile", "z", "p_f", "std_err_pf", "gradient", "grad_norm_sq")
+        table = np.array([np.hstack([row[k] for k in keys]) for row in rows])
+        columns = [_fmt_all(c) for c in table.T] + [_fmt_all([report[k]]) * len(rows) for k in ("tr_fy", "tr_fx")]
+        grads = [f"grad_{name}" for name in param_names]
+        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], columns)
         written.append(str(path))
 
     if dg is not None:
-        param_names = report["param_names"]
         path = out / "density.csv"
         # one row per grid point in C order; each axis value is formatted once
         axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
@@ -474,10 +465,7 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
             for labels, idx in zip(map(_fmt_all, dg.axes), index)
         ]
         columns += [_fmt_all(v) for v in (dg.density, *dg.density_grad)]
-        # every field is a float repr or a header name: nothing for csv to quote
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(axes + ["density"] + [f"d_density_{nm}" for nm in param_names]) + "\n")
-            fh.writelines(f"{','.join(row)}\n" for row in zip(*columns))
+        _write_csv(path, axes + ["density"] + [f"d_density_{nm}" for nm in param_names], columns)
         written.append(str(path))
 
     path = out / "report.json"

@@ -13,15 +13,18 @@ from conftest import all_failure_sets
 from probsens.mclr import SensitivityResult
 
 
-def _result(gradient, z=0.0, p_f=0.5):
-    gradient = np.asarray(gradient, dtype=float)
+def _curve(gradients, z=None, p_f=None):
+    """A curve with the given (T, n) gradient rows; z and p_f default to
+    0 and 0.5 in every row."""
+    gradients = np.asarray(gradients, dtype=float)
+    t = gradients.shape[0]
     return SensitivityResult(
-        z=z,
-        p_f=p_f,
-        gradient=gradient,
-        grad_norm_sq=float(gradient @ gradient),
-        std_err_pf=0.0,
-        grad_std_err=np.zeros_like(gradient),
+        z=np.zeros(t) if z is None else np.asarray(z, dtype=float),
+        p_f=np.full(t, 0.5) if p_f is None else np.asarray(p_f, dtype=float),
+        gradient=gradients,
+        grad_norm_sq=np.vecdot(gradients, gradients),
+        std_err_pf=np.zeros(t),
+        grad_std_err=np.zeros_like(gradients),
     )
 
 
@@ -80,42 +83,43 @@ def test_pinsker_support_violation():
 def test_sensitivity_bound_reports():
     f_y = ps.FisherMatrix(np.diag([20.0, 40.0]))
     f_x = ps.FisherMatrix(np.diag([25.0, 50.0]))
-    r1 = ps.check_sensitivity_bound(_result([1.0, 2.0]), f_y)
-    assert r1.satisfied and r1.lhs == pytest.approx(5.0) and r1.rhs == pytest.approx(60.0)
+    # a zero gradient is trivially satisfied with margin tr(F_y)
+    r1 = ps.check_sensitivity_bound(_curve([[1.0, 2.0], [0.0, 0.0]]), f_y)
+    assert r1.satisfied.tolist() == [True, True] and r1.rhs == pytest.approx(60.0)
+    assert r1.lhs[0] == pytest.approx(5.0) and r1.margin[1] == pytest.approx(f_y.trace)
     # the chain's second link tr(F_y) <= tr(F_x) does not depend on the threshold
     r2 = ps.info_processing_check(f_y, f_x)
     assert r2.satisfied and r2.margin == pytest.approx(15.0)
-    # zero gradient: trivially satisfied with margin tr(F_y)
-    r1 = ps.check_sensitivity_bound(_result([0.0, 0.0]), f_y)
-    assert r1.satisfied and r1.margin == pytest.approx(f_y.trace)
 
 
 def test_sensitivity_bound_dimension_mismatch():
+    f_y = ps.FisherMatrix(np.diag([1.0, 2.0]))
     with pytest.raises(ps.ContractError):
-        ps.check_sensitivity_bound(_result([1.0]), ps.FisherMatrix(np.diag([1.0, 2.0])))
-    with pytest.raises(ps.ContractError):  # one bad row in a curve
-        ps.check_sensitivity_bound([_result([1.0, 0.0]), _result([1.0])], ps.FisherMatrix(np.diag([1.0, 2.0])))
+        ps.check_sensitivity_bound(_curve([[1.0], [0.5]]), f_y)
+    with pytest.raises(ps.ContractError):  # one threshold's gradient, not a (T, n) curve
+        ps.check_sensitivity_bound(dataclasses.replace(_curve([[1.0, 0.0]]), gradient=np.array([1.0, 0.0])), f_y)
 
 
-def test_sensitivity_bound_curve_matches_scalar_calls():
-    # one call over a whole curve: elementwise the scalar call's numbers,
-    # including rows at the bound, inside its tolerance and just past it
+def test_sensitivity_bound_judges_every_row():
+    # one comparison over the whole curve, row by row the pass rule
+    # lhs <= rhs + 1e-12 max(1, rhs): rows at the bound, inside its
+    # tolerance and just past it
     f_y = ps.FisherMatrix(np.diag([20.0, 40.0]))
     rng = np.random.default_rng(5)
-    grads = [rng.normal(0.0, 5.0, size=2) for _ in range(40)]
+    grads = rng.normal(0.0, 5.0, size=(40, 2))
     edge = np.sqrt(f_y.trace / 2.0)
-    grads += [np.array([edge, edge]), np.array([edge, edge * (1 + 1e-14)]), np.array([edge, edge * (1 + 1e-9)])]
-    curve = [_result(g, z=0.1 * i, p_f=i / 50) for i, g in enumerate(grads)]
-    rep = ps.check_sensitivity_bound(curve, f_y)
-    scalar = [ps.check_sensitivity_bound(r, f_y) for r in curve]
-    assert rep.lhs.tolist() == [r.lhs for r in scalar]
-    assert rep.margin.tolist() == [r.margin for r in scalar]
-    assert rep.satisfied.tolist() == [r.satisfied for r in scalar]
+    grads = np.vstack([grads, [[edge, edge], [edge, edge * (1 + 1e-14)], [edge, edge * (1 + 1e-9)]]])
+    t = len(grads)
+    rep = ps.check_sensitivity_bound(_curve(grads, z=0.1 * np.arange(t), p_f=np.arange(t) / 50), f_y)
+    norm_sq = [float(g @ g) for g in grads]
+    assert rep.lhs.tolist() == norm_sq
+    assert rep.rhs == f_y.trace == 60.0
+    assert rep.margin.tolist() == [60.0 - v for v in norm_sq]
+    assert rep.satisfied.tolist() == [v <= 60.0 + 1e-12 * 60.0 for v in norm_sq]
     assert rep.satisfied.tolist()[-3:] == [True, True, False]
-    assert 0 < np.count_nonzero(rep.satisfied) < len(curve)
-    assert rep.context["z"].tolist() == [r.context["z"] for r in scalar]
-    assert rep.context["p_f"].tolist() == [r.context["p_f"] for r in scalar]
-    assert all(type(r.context["z"]) is float and type(r.margin) is float for r in scalar)
+    assert 0 < np.count_nonzero(rep.satisfied) < t
+    assert rep.context["z"].tolist() == [0.1 * i for i in range(t)]
+    assert rep.context["p_f"].tolist() == [i / 50 for i in range(t)]
 
 
 def test_perturbation_bound_zero_shift():

@@ -42,40 +42,37 @@ def test_gradient_is_mean_score_when_always_failing(batch):
 
 def test_gradient_closed_form_at_mean(batch):
     # CDF convention at z = mu: d/dmu = -p(mu) = -1.9947, d/dsigma = 0
-    (res,) = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [50.0], direction="below")
-    assert abs(res.z - 1.0) < 0.01
-    assert res.gradient[0] == pytest.approx(-1.9947, rel=0.02)
-    assert abs(res.gradient[1]) <= 5 * res.grad_std_err[1]
-    assert res.grad_norm_sq == pytest.approx(float(res.gradient @ res.gradient))
+    curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [50.0], direction="below")
+    assert len(curve) == 1
+    (z,), (grad,), (grad_se,), (norm_sq,) = curve.z, curve.gradient, curve.grad_std_err, curve.grad_norm_sq
+    assert abs(z - 1.0) < 0.01
+    assert grad[0] == pytest.approx(-1.9947, rel=0.02)
+    assert abs(grad[1]) <= 5 * grad_se[1]
+    assert norm_sq == pytest.approx(float(grad @ grad))
 
 
 def test_gradient_vs_fd_step_1e3(batch):
     # explicit 1e-3 steps; agreement wherever |component| > 0.1
     curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, (10, 30, 50, 70, 90), direction="below")
-    zs = [res.z for res in curve]
-    fds = ps.estimate_gradient_fd(batch.draws[:, 0], zs, IDENTITY, batch, "below", steps=[1e-3, 1e-3])
-    for res, fd in zip(curve, fds):
-        for gj, fj in zip(res.gradient, fd):
+    fds = ps.estimate_gradient_fd(batch.draws[:, 0], curve.z, IDENTITY, batch, "below", steps=[1e-3, 1e-3])
+    for grad, fd in zip(curve.gradient, fds):
+        for gj, fj in zip(grad, fd):
             if abs(gj) > 0.1:
                 assert abs(gj - fj) / abs(gj) < 0.02
 
 
 def test_curve_median_and_monotonicity(batch):
     curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, range(5, 100, 5), direction="above")
-    pfs = np.array([r.p_f for r in curve])
-    zs = np.array([r.z for r in curve])
-    assert np.all(np.diff(zs) > 0)
-    assert np.all(np.diff(pfs) <= 0)  # non-increasing in z for exceedance
-    mid = curve[len(curve) // 2]
-    assert abs(mid.p_f - 0.5) <= 1.0 / batch.n + 1e-12
+    assert np.all(np.diff(curve.z) > 0)
+    assert np.all(np.diff(curve.p_f) <= 0)  # non-increasing in z for exceedance
+    assert abs(curve.p_f[len(curve) // 2] - 0.5) <= 1.0 / batch.n + 1e-12
 
 
 def test_curve_bell_with_flat_top(batch):
     # norm^2 peaks near y = mu and falls toward both tails
     curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, range(1, 100), direction="below")
-    norms = np.array([r.grad_norm_sq for r in curve])
-    zs = np.array([r.z for r in curve])
-    peak_z = zs[norms.argmax()]
+    norms = curve.grad_norm_sq
+    peak_z = curve.z[norms.argmax()]
     assert abs(peak_z - 1.0) < 0.05
     assert norms[0] < 0.5 * norms.max()
     assert norms[-1] < 0.5 * norms.max()
@@ -171,6 +168,13 @@ def test_density_input_contracts(batch):
         ps.estimate_output_density(batch.draws[:500, 0], batch.scores[:500])
     with pytest.raises(ps.ParameterDomainError):
         ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth=0.0)
+    # one width, or one per output dimension; an empty list is not the default
+    for bandwidth in ([0.04, 0.05], []):
+        with pytest.raises(ps.ContractError, match="bandwidth"):
+            ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth=bandwidth)
+    for bandwidth in ([np.nan], [np.inf]):
+        with pytest.raises(ps.ParameterDomainError, match="finite"):
+            ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth=bandwidth)
     with pytest.raises(ps.ContractError):
         ps.estimate_output_density(np.zeros((2000, 3)), np.zeros((2000, 2)))
     with pytest.raises(ps.ContractError):  # fixed grid of the wrong dimension

@@ -45,10 +45,11 @@ def test_identity_norm_decays_in_both_tails():
 def test_identity_gradient_matches_mclr():
     m = ps.InputModel((ps.normal(1.0, 0.2),))
     b = ps.sample(m, 100000, seed=1)
-    (est,) = ps.sensitivity_curve(b.draws[:, 0], b.scores, [50.0], direction="below")
-    exact = identity_analytic(1.0, 0.2, est.z)
-    assert est.gradient[0] == pytest.approx(float(exact.d_mu), rel=0.02)
-    assert abs(est.gradient[1] - float(exact.d_sigma)) <= 5 * est.grad_std_err[1]
+    est = ps.sensitivity_curve(b.draws[:, 0], b.scores, [50.0], direction="below")
+    (grad,), (grad_se,) = est.gradient, est.grad_std_err
+    exact = identity_analytic(1.0, 0.2, est.z[0])
+    assert grad[0] == pytest.approx(float(exact.d_mu), rel=0.02)
+    assert abs(grad[1] - float(exact.d_sigma)) <= 5 * grad_se[1]
 
 
 def test_identity_full_curve_converges_to_closed_forms():
@@ -57,13 +58,13 @@ def test_identity_full_curve_converges_to_closed_forms():
     m = ps.InputModel((ps.normal(1.0, 0.2),))
     b = ps.sample(m, 100000, seed=1)
     curve = ps.sensitivity_curve(b.draws[:, 0], b.scores, range(5, 96), direction="below")
-    zs = np.array([r.z for r in curve])
-    exact = identity_analytic(1.0, 0.2, zs)
-    for i, res in enumerate(curve):
-        assert res.p_f == pytest.approx(float(exact.p_f[i]), rel=0.05)
-        assert abs(res.gradient[0] - exact.d_mu[i]) < max(0.05 * abs(exact.d_mu[i]), 6 * res.grad_std_err[0])
-        assert abs(res.gradient[1] - exact.d_sigma[i]) < max(0.05 * abs(exact.d_sigma[i]), 6 * res.grad_std_err[1])
-        assert res.grad_norm_sq == pytest.approx(float(exact.norm_sq[i]), rel=0.05)
+    exact = identity_analytic(1.0, 0.2, curve.z)
+    grad, se = curve.gradient, curve.grad_std_err
+    for i in range(len(curve)):
+        assert curve.p_f[i] == pytest.approx(float(exact.p_f[i]), rel=0.05)
+        assert abs(grad[i, 0] - exact.d_mu[i]) < max(0.05 * abs(exact.d_mu[i]), 6 * se[i, 0])
+        assert abs(grad[i, 1] - exact.d_sigma[i]) < max(0.05 * abs(exact.d_sigma[i]), 6 * se[i, 1])
+        assert curve.grad_norm_sq[i] == pytest.approx(float(exact.norm_sq[i]), rel=0.05)
 
 
 def test_stationarity_closed_forms_vanish():

@@ -136,6 +136,21 @@ def test_reproducibility_across_runs_and_workers(tmp_path):
         assert (d / "density.csv").read_bytes() == ref_density
 
 
+def test_curve_csv_rows_match_report_rows(tmp_path):
+    # reference: one line per report row, every number as repr(float),
+    # the two traces repeated on every line
+    run(RunConfig(case="sho", out_dir=str(tmp_path), **FAST))
+    report = json.loads((tmp_path / "report.json").read_text())
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
+    grads = [f"grad_{name}" for name in report["param_names"]]
+    assert lines[0] == ",".join(["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"])
+    expected = []
+    for row in report["rows"]:
+        values = [row["percentile"], row["z"], row["p_f"], row["std_err_pf"], *row["gradient"], row["grad_norm_sq"]]
+        expected.append(",".join(repr(float(v)) for v in values + [report["tr_fy"], report["tr_fx"]]))
+    assert len(expected) == 9 and lines[1:] == expected
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 5)])
 def test_density_csv_rows_match_per_point_loop(tmp_path, shape):
     # reference: one row per grid point in C order, every number as repr(float)
@@ -283,6 +298,10 @@ def test_cli_rejects_invalid_config(tmp_path):
         {"bogus_key": 1},
         {"bandwidth": [0.0]},
         {"bandwidth": "ab"},
+        {"bandwidth": [0.04, 0.05]},
+        {"bandwidth": [float("nan")]},
+        {"bandwidth": [float("inf")]},
+        {"bandwidth": []},
         {"perturbations": [[0.1]]},
         {"percentiles": ["abc"]},
         {"percentiles": "57"},

@@ -30,7 +30,8 @@ def _reference_indicator(gvals, z, direction):
 
 
 def _reference_curve(gvals, percentiles, scores, direction):
-    """(z, p_f, std_err_pf, gradient, grad_norm_sq, grad_std_err) per threshold."""
+    """The columns z, p_f, std_err_pf, gradient, grad_norm_sq and
+    grad_std_err, one row per threshold."""
     n = gvals.size
     rows = []
     for p in percentiles:
@@ -43,7 +44,7 @@ def _reference_curve(gvals, percentiles, scores, direction):
             (z, pf, math.sqrt(pf * (1.0 - pf) / n), grad, float(grad @ grad),
              summand.std(axis=0, ddof=1) / math.sqrt(n))
         )
-    return rows
+    return tuple(map(np.array, zip(*rows)))
 
 
 def _reference_fd(gvals, zs, model, batch, direction, rel_step):
@@ -96,21 +97,21 @@ def test_sweep_matches_per_threshold_loop(case_name, seed):
     gvals = case.g(y)
 
     curve = ps.sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction)
-    ref = _reference_curve(gvals, config.percentiles, batch.scores, case.direction)
-    for res, (z, pf, se, grad, norm, grad_se) in zip(curve, ref):
-        assert (res.z, res.p_f, res.std_err_pf) == (z, pf, se)
-        # from two moments instead of centred squares: ~1e-12 relative apart
-        assert np.allclose(res.grad_std_err, grad_se, rtol=COLUMN_RTOL, atol=0.0)
-    _assert_columns_close([r.gradient for r in curve], [row[3] for row in ref])
-    _assert_columns_close([r.grad_norm_sq for r in curve], [row[4] for row in ref])
+    z, pf, se, grad, norm, grad_se = _reference_curve(gvals, config.percentiles, batch.scores, case.direction)
+    assert len(curve) == len(config.percentiles)
+    for new, ref in ((curve.z, z), (curve.p_f, pf), (curve.std_err_pf, se)):
+        assert np.array_equal(new, ref)
+    # from two moments instead of centred squares: ~1e-12 relative apart
+    assert np.allclose(curve.grad_std_err, grad_se, rtol=COLUMN_RTOL, atol=0.0)
+    _assert_columns_close(curve.gradient, grad)
+    _assert_columns_close(curve.grad_norm_sq, norm)
 
-    zs = np.array([r.z for r in curve])
+    zs = curve.z
     fds = ps.estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=config.fd_rel_step)
     ref_fds = _reference_fd(gvals, zs, case.model, batch, case.direction, config.fd_rel_step)
     _assert_columns_close(fds, ref_fds)
-    ref_grads = np.array([row[3] for row in ref])
-    big = np.abs(ref_grads) > 0.1
-    ref_max_rel = float((np.abs(ref_grads - ref_fds)[big] / np.abs(ref_grads[big])).max())
+    big = np.abs(grad) > 0.1
+    ref_max_rel = float((np.abs(grad - ref_fds)[big] / np.abs(grad[big])).max())
     max_rel = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step)["max_rel_err"]
     assert max_rel == pytest.approx(ref_max_rel, rel=1e-8)
 
@@ -173,10 +174,10 @@ def test_one_threshold_call_matches_curve_row(sweep, direction, percentiles):
     n = gvals.size
     curve = ps.sensitivity_curve(gvals, scores, percentiles, direction)
     weights = np.concatenate([scores, scores**2], axis=1)
-    for res in curve:
-        counts, sums = _threshold_sums(gvals, [res.z], direction, weights)
-        assert res.p_f == counts[0] / n
-        assert np.array_equal(res.gradient, sums[0, :2] / n)
+    for z, p_f, grad in zip(curve.z, curve.p_f, curve.gradient):
+        counts, sums = _threshold_sums(gvals, [z], direction, weights)
+        assert p_f == counts[0] / n
+        assert np.array_equal(grad, sums[0, :2] / n)
 
 
 @settings(deadline=None)
