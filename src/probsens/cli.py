@@ -10,7 +10,8 @@ from .errors import ConfigError, ProbsensError
 from .runner import CASES, RunConfig, run, verify
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, **defaults) -> RunConfig:
+    """The config file's values over ``defaults``, then the flags over both."""
     data = {}
     if args.config:
         with open(args.config) as fh:
@@ -20,6 +21,7 @@ def _load_config(args) -> RunConfig:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
+    data = {**defaults, **data}
     if args.case:
         data["case"] = args.case
     if args.seed is not None:
@@ -72,15 +74,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            cfg = _load_config(args)
-            n = args.samples or 20000
+            # the reduced-scale suite runs at 2e4 samples unless the file or --samples says otherwise
+            cfg = _load_config(args, n_samples=20000)
             if args.case or args.config:
                 # theorem/oracle suites always run; for discrete-oracle they
                 # are the whole job and no sampled case is needed
                 cases = () if cfg.case == "discrete-oracle" else (cfg.case,)
             else:
                 cases = ("identity", "sho")
-            return verify(n_samples=n, seed=cfg.seed, cases=cases)
+            return verify(cfg, cases=cases)
 
         cfg = _load_config(args)
         report, code = run(cfg)

@@ -5,6 +5,11 @@ Supported families are Normal and Lognormal, each parameterised by
 deviation of ``ln x``, so every score and information formula is the
 Normal one evaluated at ``ln x``.
 
+Every draw is ``from_standard`` of a standard normal: ``mu + sigma * z``,
+exponentiated for a Lognormal.  A batch keeps its standard normals, so a
+model with shifted parameters maps them to draws paired with the batch's
+on common random numbers.
+
 Scores are the per-parameter derivatives of the log-density,
 ``d ln p(x | mu, sigma) / d(mu, sigma)``; they are the likelihood-ratio
 weights used by every estimator in :mod:`probsens.mclr`.
@@ -51,13 +56,17 @@ class MarginalSpec:
 
     # -- transforms ---------------------------------------------------------
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF; each uniform maps to exactly one draw."""
-        z = ndtri(u)
+    def from_standard(self, z: np.ndarray) -> np.ndarray:
+        """Draws from standard normals: ``mu + sigma * z``, exponentiated for
+        a lognormal.  Every draw of this marginal goes through it."""
         x = self.mu + self.sigma * z
         if self.family == "lognormal":
             return np.exp(x)
         return x
+
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF; each uniform maps to exactly one draw."""
+        return self.from_standard(ndtri(u))
 
     def logpdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -169,6 +178,13 @@ class InputModel:
             )
         return draws
 
+    def from_standard(self, normals) -> np.ndarray:
+        """Draws (N, n_inputs) from standard normals of the same shape,
+        column j through marginal j.  Models that differ only in parameters
+        map the same normals to paired draws on common random numbers."""
+        normals = self._require_draws(normals)
+        return np.column_stack([m.from_standard(normals[:, j]) for j, m in enumerate(self.marginals)])
+
     def logpdf(self, draws) -> np.ndarray:
         draws = self._require_draws(draws)
         total = np.zeros(draws.shape[0])
@@ -189,26 +205,33 @@ class InputModel:
 
 @dataclass(frozen=True)
 class ScoredSampleBatch:
-    """Input draws with per-parameter scores.
+    """Input draws with per-parameter scores and the standard normals they
+    were mapped from.
 
-    ``draws[i, j]`` is a pure function of ``(seed, j, i)``, so identical
+    ``normals[i, j]`` is a pure function of ``(seed, j, i)``, so identical
     ``(model, n, seed)`` give bit-identical batches under any chunked or
-    parallel generation schedule.
+    parallel generation schedule, and ``draws`` is
+    ``model.from_standard(normals)``.
     """
 
     draws: np.ndarray = field(repr=False)
     scores: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
     seed: int
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
         scores = np.asarray(self.scores, dtype=float)
+        normals = np.asarray(self.normals, dtype=float)
         if draws.ndim != 2 or scores.ndim != 2 or draws.shape[0] != scores.shape[0]:
             raise ContractError("draws and scores must be 2-D with matching row counts")
-        for a in (draws, scores):
+        if normals.shape != draws.shape:
+            raise ContractError(f"normals must have the draws' shape {draws.shape}, got {normals.shape}")
+        for a in (draws, scores, normals):
             a.setflags(write=False)
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "normals", normals)
 
     @property
     def n(self) -> int:
@@ -218,16 +241,20 @@ class ScoredSampleBatch:
 def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSampleBatch:
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
-    Column j uses the counter-based stream (seed, j); the chunk size only
-    batches the uniform draws and never changes the output bits.  The
-    inverse CDF then maps each whole column at once.
+    Column j of the standard normals comes from the counter-based stream
+    (seed, j) through ``ndtri``; the chunk size only batches the uniform
+    draws and never changes the output bits.  The draws are
+    ``model.from_standard(normals)``, so for any shifted model
+    ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
+    ``sample(shifted, n, seed)``, without drawing or inverting again.
     """
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
-    draws = np.empty((n, model.n_inputs))
+    normals = np.empty((n, model.n_inputs))
     u = np.empty(n)
-    for j, marg in enumerate(model.marginals):
+    for j in range(model.n_inputs):
         for start, stop in chunk_ranges(n, chunk):
             u[start:stop] = uniform_open(seed, j, start, stop - start)
-        draws[:, j] = marg.ppf(u)
-    return ScoredSampleBatch(draws=draws, scores=model.scores(draws), seed=seed)
+        normals[:, j] = ndtri(u)
+    draws = model.from_standard(normals)
+    return ScoredSampleBatch(draws=draws, scores=model.scores(draws), normals=normals, seed=seed)

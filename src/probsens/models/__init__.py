@@ -7,13 +7,7 @@ from .beam import (
     beam_rms_ensemble,
     beam_roots,
 )
-from .identity import (
-    IdentityAnalytic,
-    identity_analytic,
-    identity_stationarity,
-    norm_sq_d2y,
-    norm_sq_dy,
-)
+from .identity import IdentityAnalytic, identity_analytic
 from .sho import sho_response
 
 __all__ = [
@@ -24,8 +18,5 @@ __all__ = [
     "beam_rms_ensemble",
     "beam_roots",
     "identity_analytic",
-    "identity_stationarity",
-    "norm_sq_d2y",
-    "norm_sq_dy",
     "sho_response",
 ]

@@ -238,16 +238,19 @@ def _cross_spectra(wr: np.ndarray, cfg: BeamConfig):
 
 
 def _peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The largest num^T G num over positions, for each row of a symmetric G."""
-    m = num.shape[1]
-    sq = np.zeros((g.shape[0], num.shape[0]))
-    term = np.empty_like(sq)
-    for a in range(m):
-        for b in range(a, m):
-            pair = num[:, a] * num[:, b] * (1.0 if a == b else 2.0)
-            np.multiply(g[:, a, b, None], pair, out=term)
-            sq += term
-    return sq.max(axis=1)
+    """The largest num^T G num over positions, for each row of a symmetric G.
+
+    One product over the upper-triangle pairs (a <= b, off-diagonal ones
+    doubled).  ``einsum`` without ``optimize`` adds the pairs into each
+    output element one at a time in that order, as a loop over the pairs
+    would, so long as there are at least two positions (``n_response`` >= 2);
+    with a single output element it would reduce them in a vectorised
+    order.  It is not a BLAS product: BLAS may order its sums by the block
+    it is handed, so a row's bits would depend on the rows around it.
+    """
+    a, b = np.triu_indices(num.shape[1])
+    pairs = num[:, a] * num[:, b] * np.where(a == b, 1.0, 2.0)
+    return np.einsum("sp,xp->sx", g[:, a, b], pairs).max(axis=1)
 
 
 def beam_rms_ensemble(e, rho, cfg: BeamConfig) -> np.ndarray:

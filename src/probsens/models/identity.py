@@ -46,25 +46,3 @@ def identity_analytic(mu: float, sigma: float, y) -> IdentityAnalytic:
         d_sigma=-z * pdf,
         norm_sq=pdf * pdf * (1.0 + z * z),
     )
-
-
-def norm_sq_dy(mu: float, sigma: float, y) -> np.ndarray:
-    """First y-derivative of the squared sensitivity norm: -2 p^2 (y-mu)^3 / sigma^4."""
-    _check_sigma(sigma)
-    pdf, z = _pdf(mu, sigma, y)
-    dev = np.asarray(y, dtype=float) - mu
-    return -2.0 * pdf * pdf * dev**3 / sigma**4
-
-
-def norm_sq_d2y(mu: float, sigma: float, y) -> np.ndarray:
-    """Second y-derivative: -2 p^2 [3(y-mu)^2 - 2(y-mu)^4/sigma^2] / sigma^4."""
-    _check_sigma(sigma)
-    pdf, z = _pdf(mu, sigma, y)
-    dev = np.asarray(y, dtype=float) - mu
-    return -2.0 * pdf * pdf * (3.0 * dev**2 - 2.0 * dev**4 / sigma**2) / sigma**4
-
-
-def identity_stationarity(mu: float, sigma: float) -> tuple[float, float]:
-    """First and second y-derivatives of the norm at y = mu; both vanish,
-    leaving the characteristic flat top of the sensitivity-norm curve."""
-    return float(norm_sq_dy(mu, sigma, mu)), float(norm_sq_d2y(mu, sigma, mu))

@@ -3,8 +3,11 @@
 A run draws one scored sample batch, sweeps percentile thresholds, and
 certifies every inequality: the sensitivity chain at each threshold, the
 information-processing trace ordering, the perturbation bound for a set of
-parameter shifts (paired runs on common random numbers), and the
-KL/quadratic-form consistency.  Results go to ``curve.csv``,
+parameter shifts, and the KL/quadratic-form consistency.  The shifted runs
+are paired with the base run on common random numbers: each shifted
+model maps the base batch's standard normals to its own draws, bit for bit
+the draws a fresh :func:`~probsens.distributions.sample` of it would give,
+and only the batch the KL block reads is scored.  Results go to ``curve.csv``,
 ``density.csv`` and ``report.json``; numbers are written in shortest
 round-trip decimal form so identical configurations produce byte-identical
 files under any worker count.
@@ -120,6 +123,8 @@ class RunConfig:
         self.percentiles = _list("percentiles", self.percentiles)
         if self.bandwidth is not None:
             self.bandwidth = _list("bandwidth", self.bandwidth)
+            if not self.bandwidth or not all(math.isfinite(h) and h > 0.0 for h in self.bandwidth):
+                raise ConfigError(f"bandwidth must be a non-empty list of positive finite widths, got {self.bandwidth}")
         if self.perturbations is not None:
             self.perturbations = _list("perturbations", self.perturbations, item=_list)
         if self.case != "discrete-oracle" and self.n_samples < 1000:
@@ -197,6 +202,7 @@ class CaseStudy:
     # performance value per row of the normalised outputs
     g: Callable[[np.ndarray], np.ndarray]
     direction: str
+    n_outputs: int = 1
     # divisors fitted once on the base ensemble; every batch's outputs are
     # divided by them before g and the density grid see them
     scale: Callable[[np.ndarray], np.ndarray | float] = lambda outputs: 1.0
@@ -228,6 +234,7 @@ def build_case(config: RunConfig) -> CaseStudy:
             # squared sum of the peak responses, each normalised by its ensemble maximum
             g=lambda y: y[:, 0] ** 2 + y[:, 1] ** 2,
             direction="above",
+            n_outputs=2,
             scale=lambda outputs: outputs.max(axis=0),
         )
     raise ConfigError(f"case {config.case!r} has no sampling pipeline")
@@ -255,6 +262,10 @@ def run_case(config: RunConfig) -> dict:
         return _run_discrete_oracle(config)
 
     case = build_case(config)
+    if config.bandwidth is not None and len(config.bandwidth) not in (1, case.n_outputs):
+        raise ConfigError(
+            f"bandwidth needs one width or one per output dimension ({case.n_outputs}), got {len(config.bandwidth)}"
+        )
     model = case.model
     n = config.n_samples
 
@@ -291,7 +302,8 @@ def run_case(config: RunConfig) -> dict:
     # gradient vs likelihood-ratio finite differences at every threshold
     fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step, order)
 
-    # perturbation bound on paired common-random-number runs
+    # perturbation bound on paired runs: each shifted model maps the base
+    # batch's standard normals, so the pairs share their random numbers
     if config.perturbations is not None:
         dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
     else:
@@ -301,8 +313,8 @@ def run_case(config: RunConfig) -> dict:
     kl_block = None
     for db in dbs:
         shifted = model.shifted(db)
-        batch_p = sample(shifted, n, config.seed)
-        y_p = evaluate_outputs(case.h, batch_p.draws, workers=config.workers) / scale
+        draws_p = shifted.from_standard(batch.normals)
+        y_p = evaluate_outputs(case.h, draws_p, workers=config.workers) / scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
         rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)
         ry = check_perturbation_bound(curve.p_f, pf_p, db, f_y)
@@ -323,7 +335,7 @@ def run_case(config: RunConfig) -> dict:
         )
         # reuse the all-positive perturbation pair for the KL consistency block
         if kl_block is None and np.all(db > 0):
-            dg_p = estimate_output_density(y_p, batch_p.scores, bandwidth=dg.bandwidth, axes=dg.axes)
+            dg_p = estimate_output_density(y_p, shifted.scores(draws_p), bandwidth=dg.bandwidth, axes=dg.axes)
             kl_fwd = estimate_kl(dg, dg_p)
             kl_rev = estimate_kl(dg_p, dg)
             kl_block = {
@@ -487,17 +499,22 @@ def run(config: RunConfig) -> tuple[dict, int]:
 
 
 def verify(
-    n_samples: int = 20000,
-    seed: int = 1,
+    config: RunConfig | None = None,
     cases: tuple[str, ...] = ("identity", "sho"),
     log: Callable[[str], None] = print,
+    n_samples: int | None = None,
 ) -> int:
     """Run the invariant suite at reduced sample count; returns an exit code.
 
-    Each case is one :func:`run_case` judged by :mod:`probsens.criteria`, whose
-    Monte-Carlo tolerances widen by sqrt(1e5 / N); the input-level score
-    checks, the theorem suites and the discrete oracle run as well.
+    Each case is one :func:`run_case` on ``config`` with its case replaced,
+    judged by :mod:`probsens.criteria`, whose Monte-Carlo tolerances widen by
+    sqrt(1e5 / N); the input-level score checks, the theorem suites and the
+    discrete oracle run as well, at the config's seed.  Without a config the
+    defaults run at 2e4 samples; ``n_samples`` overrides either.
     """
+    config = config or RunConfig(n_samples=20000)
+    if n_samples is not None:
+        config = replace(config, n_samples=n_samples)
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -507,18 +524,18 @@ def verify(
             failures.append(name)
 
     for case_name in cases:
-        cfg = RunConfig(case=case_name, n_samples=n_samples, seed=seed)
+        cfg = replace(config, case=case_name)
 
         # zero-mean score, self-normalised to 5 standard errors
-        scores = sample(build_case(cfg).model, n_samples, seed).scores
-        se = scores.std(axis=0, ddof=1) / math.sqrt(n_samples)
+        scores = sample(build_case(cfg).model, cfg.n_samples, cfg.seed).scores
+        se = scores.std(axis=0, ddof=1) / math.sqrt(cfg.n_samples)
         check(f"{case_name}: zero-mean scores", bool(np.all(np.abs(scores.mean(axis=0)) <= 5.0 * se)))
 
         for name, value, tol, ok in evaluate(run_case(cfg)):
             check(f"{case_name}: {name}", ok, f"{value:.3g}, tolerance {tol:.3g}")
 
     # score formulas against log-density differences
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     max_rel = 0.0
     for spec_m in (normal(1.0, 0.2), normal(0.0, 1.0), lognormal(24.85, 0.47), lognormal(0.0, 1.0)):
         x = spec_m.ppf(rng.uniform(0.05, 0.95, size=64))
@@ -536,7 +553,7 @@ def verify(
     for name, ok in theorem_suites(rng).items():
         check(name, ok)
 
-    oracle = run_case(RunConfig(case="discrete-oracle", seed=seed))
+    oracle = run_case(replace(config, case="discrete-oracle"))
     ok = oracle["violations"] == 0
     check("discrete simplex oracle (exhaustive binomial)", ok, f"{oracle['instances']} instances")
 

@@ -16,6 +16,42 @@ def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
+def norm_sq_dy(mu: float, sigma: float, y) -> np.ndarray:
+    """First y-derivative of the identity case's squared sensitivity norm:
+    -2 p^2 (y-mu)^3 / sigma^4."""
+    y = np.asarray(y, dtype=float)
+    pdf, dev = normal_pdf_grid(y, mu, sigma), y - mu
+    return -2.0 * pdf * pdf * dev**3 / sigma**4
+
+
+def norm_sq_d2y(mu: float, sigma: float, y) -> np.ndarray:
+    """Second y-derivative: -2 p^2 [3(y-mu)^2 - 2(y-mu)^4/sigma^2] / sigma^4."""
+    y = np.asarray(y, dtype=float)
+    pdf, dev = normal_pdf_grid(y, mu, sigma), y - mu
+    return -2.0 * pdf * pdf * (3.0 * dev**2 - 2.0 * dev**4 / sigma**2) / sigma**4
+
+
+def identity_stationarity(mu: float, sigma: float) -> tuple[float, float]:
+    """First and second y-derivatives of the norm at y = mu; both vanish,
+    leaving the characteristic flat top of the sensitivity-norm curve."""
+    return float(norm_sq_dy(mu, sigma, mu)), float(norm_sq_d2y(mu, sigma, mu))
+
+
+def pairwise_peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The largest num^T G num over positions for each row of a symmetric G,
+    accumulated one (S, positions) multiply-add per upper-triangle pair: the
+    reference for ``models.beam._peak``."""
+    m = num.shape[1]
+    sq = np.zeros((g.shape[0], num.shape[0]))
+    term = np.empty_like(sq)
+    for a in range(m):
+        for b in range(a, m):
+            pair = num[:, a] * num[:, b] * (1.0 if a == b else 2.0)
+            np.multiply(g[:, a, b, None], pair, out=term)
+            sq += term
+    return sq.max(axis=1)
+
+
 def _gauss(grid: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:
     """Kernel matrix K[(grid_i - pt_j)/h] / h, shape (grid, pts)."""
     z = (grid[:, None] - pts[None, :]) / h

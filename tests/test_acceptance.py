@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from probsens.criteria import evaluate, theorem_suites
-from probsens.models import beam_roots, identity_analytic, identity_stationarity
+from conftest import identity_stationarity
+from probsens.models import beam_roots, identity_analytic
 from probsens.runner import RunConfig, run, run_case
 
 SEED = 1

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probsens as ps
 from conftest import joint_score_and_fim
 from probsens.distributions import MarginalSpec
+from probsens.rng import CHUNK
 
 
 def test_score_normal_plug_in():
@@ -67,6 +70,35 @@ def test_sampling_is_chunk_schedule_independent():
     for chunk in (8, 1000, 4096, 100000):
         again = ps.sample(m, 10001, seed=3, chunk=chunk)
         assert np.array_equal(full.draws, again.draws)
+
+
+# one marginal and its shift: family, mu, sigma, d_mu, and d_sigma as a
+# fraction of sigma that keeps the shifted sigma above 0
+_SHIFTED_MARGINAL = st.tuples(
+    st.sampled_from(["normal", "lognormal"]),
+    st.floats(-3.0, 3.0),
+    st.floats(0.01, 1.0),
+    st.floats(-0.5, 0.5),
+    st.floats(-0.99, 0.99),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    marginals=st.lists(_SHIFTED_MARGINAL, min_size=1, max_size=3),
+    n=st.integers(1, 2 * CHUNK + 8).filter(lambda n: n % CHUNK != 0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_shifted_batch_from_base_normals_is_a_fresh_sample(marginals, n, seed):
+    # the draws and scores a shifted model makes from the base batch's
+    # standard normals are bit for bit those of sampling it afresh
+    model = ps.InputModel(tuple(MarginalSpec(f, mu, sigma) for f, mu, sigma, _, _ in marginals))
+    db = np.array([d for _, _, sigma, d_mu, frac in marginals for d in (d_mu, frac * sigma)])
+    shifted = model.shifted(db)
+    draws = shifted.from_standard(ps.sample(model, n, seed).normals)
+    fresh = ps.sample(shifted, n, seed)
+    assert np.array_equal(draws, fresh.draws)
+    assert np.array_equal(shifted.scores(draws), fresh.scores)
 
 
 def test_sample_mean_tolerance():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import probsens as ps
 import probsens.models.beam as beam_module
+from conftest import identity_stationarity, norm_sq_d2y, norm_sq_dy, pairwise_peak
 from probsens.cli import main
 from probsens.models import (
     BeamConfig,
@@ -17,9 +18,6 @@ from probsens.models import (
     beam_rms_ensemble,
     beam_roots,
     identity_analytic,
-    identity_stationarity,
-    norm_sq_d2y,
-    norm_sq_dy,
     sho_response,
 )
 from probsens.runner import RunConfig, build_case
@@ -214,6 +212,25 @@ def test_beam_ensemble_rows_independent_of_block_order_and_batch(z, data):
     assert np.array_equal(beam_rms_ensemble(e[perm], rho[perm], cfg), ref[perm])
     alone = np.vstack([beam_rms_ensemble(e[i : i + 1], rho[i : i + 1], cfg) for i in range(e.size)])
     assert np.array_equal(alone, ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    modes=st.integers(1, 5),
+    rows=st.integers(1, 40),
+    positions=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_peak_matches_pairwise_loop(modes, rows, positions, seed):
+    # one product over the pairs sums in the loop's order: bit for bit the
+    # same peaks, also for a row alone (BeamConfig keeps >= 2 positions)
+    rng = np.random.default_rng(seed)
+    num = rng.standard_normal((positions, modes)) * 10.0 ** rng.uniform(-3, 3, size=modes)
+    g = rng.standard_normal((rows, modes, modes)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1, 1))
+    g = g + g.transpose(0, 2, 1)
+    ref = pairwise_peak(num, g)
+    assert np.array_equal(beam_module._peak(num, g), ref)
+    assert np.array_equal(beam_module._peak(num, g[-1:]), ref[-1:])
 
 
 def _direct_modal_rms(e, rho, cfg):

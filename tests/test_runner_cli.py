@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -223,12 +224,49 @@ def test_verify_passes_and_mutation_fails(capsys, monkeypatch):
 
     def negated(*args, **kwargs):
         batch = real_sample(*args, **kwargs)
-        return ps.ScoredSampleBatch(draws=batch.draws, scores=-batch.scores, seed=batch.seed)
+        return dataclasses.replace(batch, scores=-batch.scores)
 
     monkeypatch.setattr(runner, "sample", negated)
     assert verify(n_samples=4000, cases=("identity",)) == 1
     out = capsys.readouterr().out
     assert "[FAIL] identity: gradient vs finite differences" in out
+
+
+def test_cli_verify_runs_the_whole_config(tmp_path, monkeypatch):
+    # every field of the file reaches run_case; --samples overrides the file,
+    # and without a file the suite runs at 2e4 samples
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 5000, "percentiles": [50], "seed": 3}))
+    seen = []
+    real_run_case = runner.run_case
+
+    def spy(config):
+        seen.append(config)
+        return real_run_case(config)
+
+    monkeypatch.setattr(runner, "run_case", spy)
+    for argv, n in ((["--config", str(cfg_path)], 5000), (["--config", str(cfg_path), "--samples", "4000"], 4000)):
+        seen.clear()
+        main(["verify", *argv])
+        (identity,) = [c for c in seen if c.case == "identity"]
+        assert (identity.n_samples, identity.percentiles, identity.seed) == (n, [50.0], 3)
+        assert {c.seed for c in seen} == {3}
+    seen.clear()
+    main(["verify", "--case", "identity"])
+    assert [c.n_samples for c in seen if c.case == "identity"] == [20000]
+
+
+@pytest.mark.parametrize("bandwidth", [[], [0.04, 0.05, 0.06], [-0.04], [float("nan")]])
+def test_cli_refuses_bad_bandwidth_before_sampling(bandwidth, tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the bandwidth was checked")
+
+    monkeypatch.setattr(runner, "sample", no_sampling)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": "beam", "n_samples": 2000, "bandwidth": bandwidth}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path)])
+    assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
