@@ -12,7 +12,10 @@ Everything here is a weighted average over the rows of a
 * relative entropy             grid quadrature of p * ln(p/q)
 
 The three indicator-weighted means come from one sorted sweep that serves
-every threshold at once (:func:`_threshold_sums`).  The density grid is a
+every threshold at once (:func:`_threshold_sums`).  Its order is the stable
+argsort of the performance values, which :func:`_sort_order` takes from
+numpy's default sort and from the stable sort only when two values tie:
+without ties the sorting permutation is unique.  The density grid is a
 binned kernel estimator (:func:`estimate_output_density`): the weights are
 binned linearly onto a lattice 16 (1-D) or 2 (2-D) times finer than the
 output axes, and the Gaussian sampled on that lattice, cut at 8 widths, is
@@ -141,17 +144,34 @@ def _linear_percentiles(sorted_g: np.ndarray, percentiles: np.ndarray) -> np.nda
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
+def _sort_order(gvals: np.ndarray) -> np.ndarray:
+    """``np.argsort(gvals, kind="stable")``, bit for bit, from the faster
+    default sort when it can.
+
+    When the sorted g strictly increases, only one permutation sorts it,
+    so the default sort returns the stable order on any machine.  Otherwise
+    two values tie (``-0.0`` and ``0.0`` are equal) or a NaN is present,
+    and the stable sort runs after all.
+    """
+    order = np.argsort(gvals)
+    sorted_g = gvals[order]
+    if np.all(sorted_g[1:] > sorted_g[:-1]):
+        return order
+    return np.argsort(gvals, kind="stable")
+
+
 def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     """Failure-set size and weight column sums at every threshold at once.
 
     ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
     non-failure for ``above``.  The ``below`` count at z is the
     ``searchsorted(side="right")`` position of z in the sorted g; counts
-    alone need only ``np.sort``.  With weights, after one stable sort of g
-    (``order``, its ``argsort(kind="stable")``, when the caller already
-    holds it) the failure set at each z is a prefix (below) or suffix
-    (above) of the sorted rows of that length; each column sum is then one
-    row of a cumulative sum over the sorted weights.  A threshold's result
+    alone need only ``np.sort``.  With weights, the rows are taken in the
+    stable order of g, ``order``: its ``argsort(kind="stable")``, which
+    :func:`_sort_order` gives and the caller passes when it already holds
+    it.  The failure set at each z is then a prefix (below) or suffix
+    (above) of the sorted rows of that length; each column sum is one row
+    of a cumulative sum over the sorted weights.  A threshold's result
     depends only on its own failure set, never on the other thresholds,
     and no (thresholds, rows) array is formed.
 
@@ -166,7 +186,7 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
         sorted_g = np.sort(gvals)
     else:
         if order is None:
-            order = np.argsort(gvals, kind="stable")
+            order = _sort_order(gvals)
         sorted_g = gvals[order]
     n_below = np.searchsorted(sorted_g, zs, side="right")
     counts = n_below if direction == "below" else gvals.size - n_below
@@ -175,7 +195,7 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] != gvals.size:
         raise ContractError("weights do not match the performance values in length")
-    sorted_w = weights[order] if direction == "below" else weights[order[::-1]]
+    sorted_w = np.take(weights, order if direction == "below" else order[::-1], axis=0)
     csum = np.zeros((gvals.size + 1,) + weights.shape[1:])
     np.cumsum(sorted_w, axis=0, out=csum[1:])
     return counts, csum[counts]
@@ -204,7 +224,8 @@ def estimate_gradient_fd(
     owning marginal's sigma), which keeps the likelihood-ratio exponents
     of order rel_step; pass ``steps`` for explicit per-parameter control.
     Returns one row of n_params components per threshold in ``zs``.
-    ``_order`` is the stable argsort of ``gvals`` when the caller holds it.
+    ``_order`` is the stable argsort of ``gvals`` (:func:`_sort_order`)
+    when the caller holds it.
     """
     if steps is None:
         steps = rel_step * model.param_scales()
@@ -234,8 +255,8 @@ def sensitivity_curve(
     At each threshold z: P_f is the failure-set fraction, the gradient the
     mean of indicator * score, and its per-component standard error the
     sample std (ddof=1) of that summand / sqrt(N), from the summand's first
-    two moments.  ``_order`` is the stable argsort of ``gvals`` when the
-    caller holds it.
+    two moments.  ``_order`` is the stable argsort of ``gvals``
+    (:func:`_sort_order`) when the caller holds it.
     """
     percentiles = np.asarray(percentiles, dtype=float)
     if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
@@ -246,7 +267,7 @@ def sensitivity_curve(
         raise ContractError("scores must be an (N, n) matrix with one row per performance value")
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
-    order = np.argsort(gvals, kind="stable") if _order is None else _order
+    order = _sort_order(gvals) if _order is None else _order
     zs = _linear_percentiles(gvals[order], percentiles)
     n, n_params = scores.shape
     counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1), order)
@@ -470,9 +491,13 @@ def estimate_output_density(
 
     refine = _REFINE[k]
     taps, coords, sizes = zip(*(_lattice(v, a, h, refine) for v, a, h in zip(outputs.T, axes, bandwidth)))
+    weights = np.empty((n, scores.shape[1] + 1))
+    weights[:, 0] = 1.0
+    np.subtract(scores, scores.mean(axis=0), out=weights[:, 1:])
     inside = np.logical_and.reduce([(u >= 0.0) & (u <= size - 1) for u, size in zip(coords, sizes)])
-    coords = [u[inside] for u in coords]
-    weights = np.concatenate([np.ones((n, 1)), scores - scores.mean(axis=0)], axis=1)[inside]
+    if not inside.all():
+        coords = [u[inside] for u in coords]
+        weights = weights[inside]
     sums = np.empty((weights.shape[1],) + tuple(a.size for a in axes))
     if k == 1:
         for out, cells in zip(sums, _linear_bin(coords, sizes, weights)):

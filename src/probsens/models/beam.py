@@ -130,6 +130,15 @@ class BeamConfig:
             raise ConfigError("response and frequency grids must be non-empty")
         if not 1 <= self.n_modes <= _MAX_MODES:
             raise ConfigError(f"n_modes must be in [1, {_MAX_MODES}]")
+        try:
+            fac = self._freq_factor()
+        except (OverflowError, ZeroDivisionError):
+            fac = math.nan
+        if not 0.0 < fac < math.inf:
+            raise ConfigError(
+                f"length {self.length!r}, second_moment {self.second_moment!r} and section_area "
+                f"{self.section_area!r} give no finite positive natural frequency"
+            )
         if self.omega_span is None:
             object.__setattr__(self, "omega_span", self._default_span())
         lo, hi = self.omega_span

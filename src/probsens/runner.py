@@ -39,6 +39,7 @@ from .criteria import evaluate, theorem_suites
 from .distributions import InputModel, lognormal, normal, sample
 from .errors import ConfigError
 from .mclr import (
+    _sort_order,
     _threshold_sums,
     estimate_gradient_fd,
     estimate_kl,
@@ -70,15 +71,19 @@ _ORACLE_DEFAULTS = {"n_trials": 5, "thetas": (0.2, 0.5, 0.8), "dtheta": 1e-3}
 _MAX_ORACLE_TRIALS = 16
 
 
+# JSON true and false load as bools, which operator.index and numbers.Real
+# take for 1 and 0: both converters refuse them
 def _integer(name: str, value) -> int:
     try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(name: str, value) -> float:
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name}: {value!r} is not a number")
     return float(value)
 
@@ -275,8 +280,8 @@ def run_case(config: RunConfig) -> dict:
     y = outputs / scale
     gvals = case.g(y)
 
-    # threshold sweep; one stable sort of g serves the curve and the FD check
-    order = np.argsort(gvals, kind="stable")
+    # threshold sweep; one stable order of g (_sort_order) serves the curve and the FD check
+    order = _sort_order(gvals)
     curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction, _order=order)
 
     # output density, output/input information

@@ -52,6 +52,21 @@ def pairwise_peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sq.max(axis=1)
 
 
+def stable_threshold_sums(gvals, zs, direction, weights=None):
+    """The sweep as it was before ``mclr._sort_order`` and ``np.take``: the
+    stable argsort of g and a fancy-index gather of the sorted weight rows,
+    the reference for ``mclr._threshold_sums``."""
+    order = np.argsort(gvals, kind="stable")
+    n_below = np.searchsorted(gvals[order], zs, side="right")
+    counts = n_below if direction == "below" else gvals.size - n_below
+    if weights is None:
+        return counts, None
+    sorted_w = weights[order] if direction == "below" else weights[order[::-1]]
+    csum = np.zeros((gvals.size + 1,) + weights.shape[1:])
+    np.cumsum(sorted_w, axis=0, out=csum[1:])
+    return counts, csum[counts]
+
+
 def _gauss(grid: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:
     """Kernel matrix K[(grid_i - pt_j)/h] / h, shape (grid, pts)."""
     z = (grid[:, None] - pts[None, :]) / h

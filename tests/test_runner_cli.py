@@ -329,8 +329,8 @@ def test_cli_flag_overrides_config_file(tmp_path):
     assert report["provenance"]["seed"] == 2
 
 
-def test_cli_rejects_invalid_config(tmp_path):
-    # exit 1 means a violated bound; every invalid input exits 2
+def test_cli_rejects_invalid_config(tmp_path, capsys):
+    # exit 1 means a violated bound; every invalid input exits 2 with one error line
     cfg_path = tmp_path / "cfg.json"
     for bad in (
         {"bogus_key": 1},
@@ -350,11 +350,23 @@ def test_cli_rejects_invalid_config(tmp_path):
         {"case": "discrete-oracle", "oracle": {"thetas": []}},
         {"case": "discrete-oracle", "oracle": {"thetas": [0.0]}},
         {"case": "discrete-oracle", "oracle": {"dtheta": 0}},
+        # a natural frequency that overflows or underflows
+        {"case": "beam", "beam": {"length": 1e100}},
+        {"case": "beam", "beam": {"length": 1e-100}},
+        # JSON booleans are not numbers
+        {"seed": True},
+        {"workers": True},
+        {"perturbation_scale": True},
+        {"percentiles": [True, 50]},
+        {"bandwidth": [True]},
+        {"case": "discrete-oracle", "oracle": {"n_trials": True}},
     ):
         cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 4000, **bad}))
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg_path)])
         assert exc.value.code == 2, bad
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err, bad
     # a config file that cannot be read, an output directory that cannot be made
     unreadable = ["--config", str(tmp_path / "missing.json")]
     unwritable = ["--case", "discrete-oracle", "--out", str(cfg_path / "d")]

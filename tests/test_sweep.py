@@ -6,6 +6,7 @@ sweep must give the same counts bit for bit, and the same sums up to
 reordered floating-point addition.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
-from probsens.mclr import _threshold_sums
-from probsens.runner import RunConfig, _auto_perturbations, _fd_check, build_case
+from probsens import mclr, runner
+from probsens.mclr import _sort_order, _threshold_sums
+from probsens.runner import RunConfig, _auto_perturbations, _fd_check, build_case, run_case
+
+from conftest import stable_threshold_sums
 
 # Reordering N additions moves a sum by a few ulps of the sum of magnitudes.
 SUM_RTOL = 1e-12
@@ -191,3 +195,93 @@ def test_count_only_sweep_matches_sorted_counts(sweep, direction, rnd):
     assert sums is None and counts.dtype.kind == "i"
     assert np.array_equal(counts, _reference_sorted_counts(gvals, zs, direction))
     assert np.array_equal(counts, _threshold_sums(gvals, zs, direction, weights)[0])
+
+
+# ---------------------------------------------------------------------------
+# the tie-guarded default sort against the stable sort it stands in for
+
+@st.composite
+def sort_inputs(draw):
+    """Performance values with and without ties, long enough for numpy's
+    default sort to leave its insertion-sort path: normal draws, the same
+    rounded, a few repeated values, or signed zeros among them; shuffled,
+    sorted or reversed."""
+    n = draw(st.integers(min_value=1, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "rounded", "repeated", "signed_zeros"]))
+    g = rng.standard_normal(n)
+    if kind == "rounded":
+        g = np.round(g, draw(st.integers(0, 4)))
+    elif kind == "repeated":
+        g = rng.integers(-3, 4, n).astype(float)
+    elif kind == "signed_zeros":
+        g[rng.random(n) < 0.2] = 0.0
+        g[rng.random(n) < 0.2] = -0.0
+    layout = draw(st.sampled_from(["shuffled", "sorted", "reversed"]))
+    if layout == "sorted":
+        g = np.sort(g, kind="stable")
+    elif layout == "reversed":
+        g = np.sort(g, kind="stable")[::-1].copy()
+    return g
+
+
+@settings(deadline=None)
+@given(st.one_of(sort_inputs(), st.lists(st.floats(allow_nan=False), min_size=1, max_size=40).map(np.array)))
+def test_sort_order_is_the_stable_argsort(g):
+    assert np.array_equal(_sort_order(g), np.argsort(g, kind="stable"))
+
+
+@pytest.mark.parametrize(
+    "g", [[0.5], [-0.0], [1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+)
+def test_sort_order_on_one_and_two_values(g):
+    g = np.array(g)
+    assert np.array_equal(_sort_order(g), np.argsort(g, kind="stable"))
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(sort_inputs(), sweeps().map(lambda sweep: sweep[0])),
+    st.sampled_from(["above", "below"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_threshold_sums_match_stable_gather(g, direction, seed):
+    # with and without weights, and with the order passed in, bit for bit
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((g.size, 3))
+    zs = np.concatenate([rng.standard_normal(5), rng.choice(g, 4)])
+    for w in (None, weights):
+        ref_counts, ref_sums = stable_threshold_sums(g, zs, direction, w)
+        for order in (None, _sort_order(g)):
+            counts, sums = _threshold_sums(g, zs, direction, w, order)
+            assert np.array_equal(counts, ref_counts)
+            assert (sums is None) if w is None else np.array_equal(sums, ref_sums)
+
+
+def _stable_argsort(gvals):
+    return np.argsort(gvals, kind="stable")
+
+
+@pytest.mark.parametrize(
+    "case_name, overrides",
+    [
+        ("identity", {"n_samples": 8193}),
+        ("sho", {"n_samples": 4000}),
+        ("beam", {"n_samples": 2000, "perturbation_scale": 0.2}),
+    ],
+)
+def test_run_case_identical_with_the_stable_sort(case_name, overrides, monkeypatch):
+    config = RunConfig(case=case_name, **overrides)
+
+    def report_and_grid():
+        report = run_case(config)
+        dg = report.pop("_density_grid")
+        return json.dumps(report, sort_keys=True), dg
+
+    report, dg = report_and_grid()
+    monkeypatch.setattr(mclr, "_sort_order", _stable_argsort)
+    monkeypatch.setattr(runner, "_sort_order", _stable_argsort)
+    ref_report, ref_dg = report_and_grid()
+    assert report == ref_report
+    for a, b in zip((*dg.axes, dg.density, dg.density_grad), (*ref_dg.axes, ref_dg.density, ref_dg.density_grad)):
+        assert np.array_equal(a, b)
