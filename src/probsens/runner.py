@@ -10,7 +10,9 @@ the draws a fresh :func:`~probsens.distributions.sample` of it would give,
 and only the batch the KL block reads is scored.  Results go to ``curve.csv``,
 ``density.csv`` and ``report.json``; numbers are written in shortest
 round-trip decimal form so identical configurations produce byte-identical
-files under any worker count.
+files under any worker count.  Both CSV files go through one writer that
+formats and writes their rows block by block, so its memory does not grow
+with the density grid; the bytes are those of formatting every row at once.
 """
 
 from __future__ import annotations
@@ -444,18 +446,38 @@ def _fmt_all(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_csv(path: Path, header: list[str], columns: list[list[str]]) -> None:
-    """One header line, then one line per row of the formatted columns.
+# rows formatted per write: the writer holds one block's strings, whatever the table's length
+_BLOCK_ROWS = 4096
 
-    Every field is a float repr or a header name: nothing needs quoting.
+
+def _write_csv(path: Path, header: list[str], table: np.ndarray, labels: tuple[list[str], ...] = ()) -> None:
+    """One header line, then one line per row of the float ``table``.
+
+    ``labels`` holds the formatted values of each axis of a grid; row r of
+    ``table`` is grid point r in C order, and its line starts with that
+    point's axis values.  Rows are formatted and written in blocks of
+    ``_BLOCK_ROWS``, each read through a slice of ``table``, so the writer's
+    memory does not grow with the table.  Every field is a float repr or a
+    header name: nothing needs quoting.
     """
+    shape = tuple(map(len, labels))
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(f"{','.join(row)}\n" for row in zip(*columns))
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            index = np.unravel_index(np.arange(start, start + len(block)), shape) if labels else ()
+            columns = [[axis[i] for i in idx.tolist()] for axis, idx in zip(labels, index)]
+            columns += [_fmt_all(column) for column in block.T]
+            fh.writelines(f"{','.join(row)}\n" for row in zip(*columns))
 
 
 def write_outputs(report: dict, out_dir: str) -> list[str]:
-    """Write curve.csv, density.csv and report.json; returns the paths."""
+    """Write curve.csv, density.csv and report.json; returns the paths.
+
+    Both CSV files go through :func:`_write_csv`, block by block, so
+    writing the density grid holds one block's strings and not the whole
+    file's; the bytes are those of formatting every row at once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -466,23 +488,17 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
     if rows:
         path = out / "curve.csv"
         keys = ("percentile", "z", "p_f", "std_err_pf", "gradient", "grad_norm_sq")
-        table = np.array([np.hstack([row[k] for k in keys]) for row in rows])
-        columns = [_fmt_all(c) for c in table.T] + [_fmt_all([report[k]]) * len(rows) for k in ("tr_fy", "tr_fx")]
+        table = np.array([np.hstack([*(row[k] for k in keys), report["tr_fy"], report["tr_fx"]]) for row in rows])
         grads = [f"grad_{name}" for name in param_names]
-        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], columns)
+        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], table)
         written.append(str(path))
 
     if dg is not None:
         path = out / "density.csv"
-        # one row per grid point in C order; each axis value is formatted once
         axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
-        index = np.meshgrid(*[np.arange(ax.size) for ax in dg.axes], indexing="ij")
-        columns = [
-            [labels[i] for i in idx.ravel().tolist()]
-            for labels, idx in zip(map(_fmt_all, dg.axes), index)
-        ]
-        columns += [_fmt_all(v) for v in (dg.density, *dg.density_grad)]
-        _write_csv(path, axes + ["density"] + [f"d_density_{nm}" for nm in param_names], columns)
+        table = np.column_stack([v.ravel() for v in (dg.density, *dg.density_grad)])
+        header = axes + ["density"] + [f"d_density_{nm}" for nm in param_names]
+        _write_csv(path, header, table, labels=tuple(map(_fmt_all, dg.axes)))
         written.append(str(path))
 
     path = out / "report.json"

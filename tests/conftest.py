@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def exact_output_density(outputs, scores, bandwidth, axes) -> DensityGrid:
             for j in range(n_params):
                 grads[j] += a @ (b * centred[start:stop, j][None, :]).T
     return DensityGrid(axes=axes, density=density / n, density_grad=grads / n, bandwidth=bandwidth)
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def min_eigenvalue(fim: ps.FisherMatrix) -> float:

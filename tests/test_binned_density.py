@@ -7,15 +7,13 @@ four to thirty times above the largest shift measured at seeds 1, 7 and
 141.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
-from conftest import exact_output_density
+from conftest import exact_output_density, peak_bytes
 from probsens.mclr import _linear_bin
 from probsens.runner import RunConfig, _auto_perturbations, build_case
 
@@ -84,15 +82,6 @@ def test_binned_grid_matches_exact_kernel_sum(case_name, seed):
         assert abs(kl - kl_ref) <= bounds["kl"] * kl_ref
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_rows_off_a_fixed_grid(k):
     # a batch shifted half off the base grid, with one row at 1e6: the
@@ -119,7 +108,7 @@ def test_rows_off_a_fixed_grid(k):
     def density_of(y):
         return lambda: ps.estimate_output_density(y, scores, bandwidth=dg.bandwidth, axes=dg.axes)
 
-    assert _peak_bytes(density_of(far)) <= 1.05 * _peak_bytes(density_of(shifted))
+    assert peak_bytes(density_of(far)) <= 1.05 * peak_bytes(density_of(shifted))
     # a grid of the batch's own range: its far row only widens the axes
     assert np.all(np.isfinite(ps.estimate_output_density(far, scores).density))
 

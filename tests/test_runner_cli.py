@@ -3,11 +3,16 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probsens as ps
+from conftest import peak_bytes
 from probsens.mclr import DensityGrid
 from probsens.cli import main
 from probsens import criteria, runner
@@ -152,24 +157,77 @@ def test_curve_csv_rows_match_report_rows(tmp_path):
     assert len(expected) == 9 and lines[1:] == expected
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 5)])
-def test_density_csv_rows_match_per_point_loop(tmp_path, shape):
-    # reference: one row per grid point in C order, every number as repr(float)
+# (2, 7) ends on a 7-row block; (4099,) and (65, 130) span two and three
+# default blocks, the last one partial
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 7), (4099,), (65, 130)])
+def test_density_csv_rows_match_per_point_loop(tmp_path, monkeypatch, shape):
+    # reference: one row per grid point in C order, every number as repr(float),
+    # whatever the block the writer formats at a time
     rng = np.random.default_rng(4)
     axes = tuple(np.linspace(-1.0, 2.0, n) / 3.0 for n in shape)
     density = rng.lognormal(size=shape) * 1e-7
     grads = rng.normal(size=(2,) + shape)
     grads[0].flat[0] = -0.0
     dg = DensityGrid(axes=axes, density=density, density_grad=grads, bandwidth=np.ones(len(shape)))
-    write_outputs({"param_names": ["mu", "sigma"], "_density_grid": dg}, str(tmp_path))
-    lines = (tmp_path / "density.csv").read_text().splitlines()
     labels = ["y"] if len(shape) == 1 else ["y1", "y2"]
-    assert lines[0] == ",".join(labels + ["density", "d_density_mu", "d_density_sigma"])
-    expected = []
+    expected = [",".join(labels + ["density", "d_density_mu", "d_density_sigma"])]
     for idx in np.ndindex(*shape):
         values = [ax[i] for ax, i in zip(axes, idx)] + [density[idx], grads[0][idx], grads[1][idx]]
         expected.append(",".join(repr(float(v)) for v in values))
-    assert lines[1:] == expected
+    for block in (1, 7, runner._BLOCK_ROWS):
+        monkeypatch.setattr(runner, "_BLOCK_ROWS", block)
+        write_outputs({"param_names": ["mu", "sigma"], "_density_grid": dg}, str(tmp_path))
+        assert (tmp_path / "density.csv").read_text().splitlines() == expected
+
+
+# the shortest round-trip form switches between exponent and positional
+# notation at 1e16 and 1e-4
+_EDGE_FLOATS = [
+    -0.0,
+    5e-324,
+    -2.225073858507201e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    *(float(np.nextafter(edge, towards)) for edge in (1e16, 1e-4) for towards in (0.0, np.inf)),
+    1e16,
+    1e-4,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS), min_size=3, max_size=3),
+        max_size=12,
+    ),
+    block=st.sampled_from([1, 5, runner._BLOCK_ROWS]),
+)
+def test_write_csv_lines_are_float_reprs(rows, block):
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK_ROWS", block)
+        path = Path(tmp) / "t.csv"
+        runner._write_csv(path, ["a", "b", "c"], table)
+        lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c"
+    assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
+    read_back = np.array([[float(f) for f in line.split(",")] for line in lines[1:]]).reshape(table.shape)
+    assert np.array_equal(read_back.view(np.uint64), table.view(np.uint64))
+
+
+def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    # the beam's grid: 256 x 256 points, four parameter derivatives (7.3 MB
+    # of text); holding every line's strings at once takes about 29 MB
+    rng = np.random.default_rng(5)
+    shape = (256, 256)
+    dg = DensityGrid(
+        axes=tuple(np.linspace(0.0, 1.0, n) for n in shape),
+        density=rng.lognormal(size=shape),
+        density_grad=rng.normal(size=(4,) + shape),
+        bandwidth=np.ones(2),
+    )
+    report = {"param_names": ["a", "b", "c", "d"], "_density_grid": dg}
+    assert peak_bytes(lambda: write_outputs(report, str(tmp_path))) < 10e6
 
 
 def test_discrete_oracle_case(tmp_path):
