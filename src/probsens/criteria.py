@@ -1,7 +1,9 @@
 """The acceptance criteria: one table read by ``verify`` and the acceptance tests.
 
-Each criterion reads a measure from a :func:`probsens.runner.run_case` report.
-A relative error passes below its tolerance, a violation count passes at zero.
+Each criterion reads a measure from a :func:`probsens.runner.run_case` report,
+the zero-mean score check from its in-memory ``_scores`` entry, which
+``report.json`` does not hold.  A relative error or a score mean in standard
+errors passes below its tolerance, a violation count passes at zero.
 Tolerances are stated at N = 1e5; a Monte-Carlo one widens by sqrt(1e5 / N).
 """
 
@@ -55,11 +57,18 @@ def _peak_rel_err(r: dict) -> float:
     return abs(max(row["grad_norm_sq"] for row in r["rows"]) - exact) / exact
 
 
+def _score_mean_in_std_errs(r: dict) -> float:
+    """The largest |mean score| of the run's batch, in standard errors."""
+    scores = r["_scores"]
+    return float(np.max(np.abs(scores["mean"]) / np.array(scores["std_err"])))
+
+
 def _kl_rel_err(r: dict) -> float:
     return max(r["kl_consistency"]["rel_err_forward_fx"], r["kl_consistency"]["rel_err_reverse_fx"])
 
 
 CRITERIA = (
+    Criterion("zero-mean scores", _SAMPLED, _score_mean_in_std_errs, 5.0),
     Criterion("tr_Fx vs closed form", _SAMPLED, lambda r: abs(r["tr_fx"] - _TR_FX[r["case"]]), 1e-9),
     Criterion("sensitivity chain violations", _SAMPLED, _chain_violations, 0),
     Criterion("perturbation bound violations", _SAMPLED, _perturbation_violations, 0),

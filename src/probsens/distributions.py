@@ -242,8 +242,10 @@ def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSa
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
     Column j of the standard normals comes from the counter-based stream
-    (seed, j) through ``ndtri``; the chunk size only batches the uniform
-    draws and never changes the output bits.  The draws are
+    (seed, j) through ``ndtri``, one chunk at a time: each chunk's uniforms
+    are drawn, inverted and written straight into their rows, so no
+    N-length uniform or ``ndtri`` temporary is formed.  ``ndtri`` is
+    elementwise, so the chunk size never changes the output bits.  The draws are
     ``model.from_standard(normals)``, so for any shifted model
     ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
     ``sample(shifted, n, seed)``, without drawing or inverting again.
@@ -251,10 +253,8 @@ def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSa
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
     normals = np.empty((n, model.n_inputs))
-    u = np.empty(n)
     for j in range(model.n_inputs):
         for start, stop in chunk_ranges(n, chunk):
-            u[start:stop] = uniform_open(seed, j, start, stop - start)
-        normals[:, j] = ndtri(u)
+            normals[start:stop, j] = ndtri(uniform_open(seed, j, start, stop - start))
     draws = model.from_standard(normals)
     return ScoredSampleBatch(draws=draws, scores=model.scores(draws), normals=normals, seed=seed)

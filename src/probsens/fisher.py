@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ParameterDomainError
 
 # Eigenvalues may dip slightly below zero from floating-point noise; anything
 # worse than -1e-8 * trace indicates a real construction bug.
@@ -45,11 +45,16 @@ class FisherMatrix:
         return float(np.trace(self.matrix))
 
     def quad_form(self, db) -> float:
-        """Quadratic form db^T F db."""
+        """Quadratic form db^T F db; a perturbation that makes it infinite or
+        NaN raises, since no bound can be judged against it."""
         db = np.asarray(db, dtype=float)
         if db.shape != (self.n,):
             raise ContractError(f"expected perturbation of length {self.n}, got {db.shape}")
-        return float(db @ self.matrix @ db)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = float(db @ self.matrix @ db)
+        if not np.isfinite(quad):
+            raise ParameterDomainError(f"quadratic form db^T F db is {quad} for the perturbation {db.tolist()}")
+        return quad
 
     @staticmethod
     def from_blocks(blocks: list[np.ndarray]) -> "FisherMatrix":

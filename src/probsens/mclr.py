@@ -22,10 +22,14 @@ output axes, and the Gaussian sampled on that lattice, cut at 8 widths, is
 summed at the axis nodes, so the cost grows with the grid, not with N
 times the grid.  Against the exact kernel sum the 1-D density moves by at
 most 9e-8 of its peak and the 2-D beam density by 3e-5; tr(F_y) by 1.3e-9
-and 2.3e-6 relative.  Reductions run in a fixed order over fully assembled
-arrays (numpy's pairwise sums, cumulative sums in sorted order, or one
-``bincount`` per column), so results do not depend on how the batch was
-produced.
+and 2.3e-6 relative.  Reductions run in a fixed order, so results do not
+depend on how the batch was produced.  The sweep and the binning stream the
+rows in blocks of ``CHUNK`` (4096) and never form an (N, columns) array:
+the sweep's cumulative sum restarts each block from the previous block's
+last total, and the binning adds each block's shares into the lattice with
+``np.add.at``, corner by corner.  Both add in the order of one pass over
+all rows (a sequential cumulative sum, one ``bincount`` per column), so
+every bit equals that of the whole-array forms.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def _sort_order(gvals: np.ndarray) -> np.ndarray:
     return np.argsort(gvals, kind="stable")
 
 
-def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
+def _threshold_sums(gvals, zs, direction: str, weights=None, order=None, squares: bool = False):
     """Failure-set size and weight column sums at every threshold at once.
 
     ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
@@ -175,7 +179,17 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     depends only on its own failure set, never on the other thresholds,
     and no (thresholds, rows) array is formed.
 
-    Returns the counts, shape (T,), and the sums, shape (T,) + weights.shape[1:]
+    The sorted rows are gathered and summed ``CHUNK`` at a time.  Each
+    block's first row is added to the previous block's last total before
+    its cumulative sum, so every total is formed by the same sequential
+    additions as one cumulative sum over all rows (addition commutes
+    exactly; the first block gets no ``+0.0`` carry, which would turn a
+    ``-0.0`` first weight into ``+0.0``).  A threshold reads its row from
+    the block that holds its count, and count 0 reads ``0.0``.  With
+    ``squares``, each gathered block's squared weights are appended as
+    further columns.
+
+    Returns the counts, shape (T,), and the sums, shape (T, columns)
     (None without weights).
     """
     if direction not in _DIRECTIONS:
@@ -193,12 +207,20 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     if weights is None:
         return counts, None
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != gvals.size:
-        raise ContractError("weights do not match the performance values in length")
-    sorted_w = np.take(weights, order if direction == "below" else order[::-1], axis=0)
-    csum = np.zeros((gvals.size + 1,) + weights.shape[1:])
-    np.cumsum(sorted_w, axis=0, out=csum[1:])
-    return counts, csum[counts]
+    if weights.ndim != 2 or weights.shape[0] != gvals.size:
+        raise ContractError("weights must be an (N, columns) matrix with one row per performance value")
+    rows = order if direction == "below" else order[::-1]
+    sums = np.zeros((zs.size, weights.shape[1] * (2 if squares else 1)))
+    for start, stop in chunk_ranges(gvals.size, CHUNK):
+        block = np.take(weights, rows[start:stop], axis=0)
+        if squares:
+            block = np.hstack([block, block * block])
+        if start:
+            block[0] += csum[-1]
+        csum = np.cumsum(block, axis=0)
+        hit = (counts > start) & (counts <= stop)
+        sums[hit] = csum[counts[hit] - start - 1]
+    return counts, sums
 
 
 def estimate_gradient_fd(
@@ -270,7 +292,7 @@ def sensitivity_curve(
     order = _sort_order(gvals) if _order is None else _order
     zs = _linear_percentiles(gvals[order], percentiles)
     n, n_params = scores.shape
-    counts, sums = _threshold_sums(gvals, zs, direction, np.concatenate([scores, scores**2], axis=1), order)
+    counts, sums = _threshold_sums(gvals, zs, direction, scores, order, squares=True)
     grads = sums[:, :n_params] / n
     var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
     p_f = counts / n
@@ -381,27 +403,42 @@ def _block(u, size):
     return lo, max(lo + 2, min(int(u.max(initial=0.0)) + 2, size))
 
 
-def _linear_bin(coords, shape, weights):
+def _linear_bin(coords, shape, scores, centre):
     """Linear (1-D) or bilinear (2-D) binning of weight columns onto a lattice.
 
     ``coords`` holds one array of lattice coordinates in [0, shape[j] - 1]
-    per axis.  Each row's weight is split between the 2^k nodes of its
-    lattice cell in proportion to the opposite sub-cell volumes, so every
-    column keeps its total.  One ``bincount`` per column over all rows, so
-    the result does not depend on how the rows were produced.
+    per axis.  The weight columns are a column of ones, then each score
+    column ``scores[:, j] - centre[j]``.  Each row's weight is split between
+    the 2^k nodes of its lattice cell in proportion to the opposite
+    sub-cell volumes, so every column keeps its total.
+
+    Each row's lowest cell node and its fractions along each axis are found
+    once.  Each column then starts from a zeroed lattice and gets
+    ``np.add.at`` of the shares times the weights, for each cell corner in
+    ``itertools.product`` order and, inside a corner, for each block of
+    ``CHUNK`` rows; a score column is centred block by block.  Every
+    lattice node so receives the same additions in the same order as from
+    one ``bincount`` of all corners' rows, and no (rows, columns) or
+    (corners * rows) array is formed.
 
     Yields the lattice sums of one column at a time, each of shape
     ``shape``, so that only one column's lattice is held at once.
     """
     low = [np.minimum(u.astype(np.intp), size - 2) for u, size in zip(coords, shape)]
     frac = [u - i for u, i in zip(coords, low)]
-    nodes, shares = [], []
-    for corner in itertools.product((0, 1), repeat=len(shape)):
-        nodes.append(np.ravel_multi_index([i + c for i, c in zip(low, corner)], shape))
-        shares.append(math.prod(f if c else 1.0 - f for f, c in zip(frac, corner)))
-    nodes, shares = np.concatenate(nodes), np.concatenate(shares)
-    for w in weights.T:
-        yield np.bincount(nodes, shares * np.tile(w, 2 ** len(shape)), math.prod(shape)).reshape(shape)
+    # each row's lowest cell node; a corner adds a fixed offset to it
+    base = low[0] if len(shape) == 1 else np.ravel_multi_index(low, shape)
+    corners = [(np.ravel_multi_index(c, shape), c) for c in itertools.product((0, 1), repeat=len(shape))]
+    blocks = chunk_ranges(base.size, CHUNK)
+    for j in range(-1, scores.shape[1]):
+        out = np.zeros(math.prod(shape))
+        for offset, corner in corners:
+            for start, stop in blocks:
+                shares = math.prod(f[start:stop] if c else 1.0 - f[start:stop] for f, c in zip(frac, corner))
+                if j >= 0:
+                    shares = shares * (scores[start:stop, j] - centre[j])
+                np.add.at(out, base[start:stop] + offset, shares)
+        yield out.reshape(shape)
 
 
 def _kernel_matrix(taps, refine, n_nodes, lo, hi) -> np.ndarray:
@@ -440,9 +477,12 @@ def estimate_output_density(
     density moves by at most 9e-8 of its peak, tr(F_y) by 1.3e-9 and the
     KL by 3e-7 relative; the 2-D beam density (2000 and 20000 samples) by
     3e-5 of its peak, tr(F_y) by 2.3e-6 and the KL by 5.5e-4 relative.  On
-    a 2-core x86-64 machine with one BLAS thread a call takes 0.02 s for
-    1e5 samples in 1-D (1.3 s as an exact sum) and 0.025 s for 2000 beam
-    samples (0.06 s), 0.04 s for 20000 (2.9 s).
+    a 2-core x86-64 machine with one BLAS thread a call takes 0.015 s for
+    1e5 samples in 1-D (1.3 s as an exact sum) and 0.035 s for 2000 beam
+    samples (0.06 s), 0.05 s for 20000 (2.9 s).  The rows are binned in
+    blocks (:func:`_linear_bin`), so the 1-D call traces 2.9 MB of memory at
+    1e5 samples with two scores, where binning all rows at once traced
+    11.5 MB.
 
     Parameters
     ----------
@@ -491,23 +531,21 @@ def estimate_output_density(
 
     refine = _REFINE[k]
     taps, coords, sizes = zip(*(_lattice(v, a, h, refine) for v, a, h in zip(outputs.T, axes, bandwidth)))
-    weights = np.empty((n, scores.shape[1] + 1))
-    weights[:, 0] = 1.0
-    np.subtract(scores, scores.mean(axis=0), out=weights[:, 1:])
+    centre = scores.mean(axis=0)
     inside = np.logical_and.reduce([(u >= 0.0) & (u <= size - 1) for u, size in zip(coords, sizes)])
     if not inside.all():
         coords = [u[inside] for u in coords]
-        weights = weights[inside]
-    sums = np.empty((weights.shape[1],) + tuple(a.size for a in axes))
+        scores = scores[inside]
+    sums = np.empty((scores.shape[1] + 1,) + tuple(a.size for a in axes))
     if k == 1:
-        for out, cells in zip(sums, _linear_bin(coords, sizes, weights)):
+        for out, cells in zip(sums, _linear_bin(coords, sizes, scores, centre)):
             # the 2 pad + 1 lattice nodes around each axis node, read in place:
             # a dense kernel matrix would hold nodes x lattice taps, about 40 MB for identity
             out[:] = sliding_window_view(cells, taps[0].size)[::refine] @ taps[0]
     else:
         blocks = [_block(u, size) for u, size in zip(coords, sizes)]
         k0, k1 = (_kernel_matrix(t, refine, a.size, lo, hi) for t, a, (lo, hi) in zip(taps, axes, blocks))
-        lattice = _linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], weights)
+        lattice = _linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], scores, centre)
         for out, cells in zip(sums, lattice):
             out[:] = k0 @ cells @ k1.T
     sums /= n
@@ -519,7 +557,9 @@ def estimate_output_fim(dg: DensityGrid, floor: float = DENSITY_FLOOR) -> Fisher
 
     F_jk = integral of (dp/db_j)(dp/db_k)/p over cells with p above the
     floor.  A warning is attached when more than 5% of the grid mass sits
-    below the floor.
+    below the floor.  An infinite or NaN entry, as from a density that
+    underflows on a grid far wider than the outputs, raises
+    :class:`EvaluationError`: no bound can be judged against it.
     """
     w = dg.cell_weights()
     p = dg.density
@@ -534,13 +574,17 @@ def estimate_output_fim(dg: DensityGrid, floor: float = DENSITY_FLOOR) -> Fisher
         )
     n = dg.density_grad.shape[0]
     grads = dg.density_grad
-    inv_p = np.where(mask, w / np.where(mask, p, 1.0), 0.0)
     fim = np.empty((n, n))
-    for j in range(n):
-        for kk in range(j, n):
-            val = float(np.sum(inv_p * grads[j] * grads[kk]))
-            fim[j, kk] = val
-            fim[kk, j] = val
+    # an overflow here is reported below as a non-finite matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_p = np.where(mask, w / np.where(mask, p, 1.0), 0.0)
+        for j in range(n):
+            for kk in range(j, n):
+                val = float(np.sum(inv_p * grads[j] * grads[kk]))
+                fim[j, kk] = val
+                fim[kk, j] = val
+    if not np.all(np.isfinite(fim)):
+        raise EvaluationError(f"output Fisher information is not finite: {fim.tolist()}")
     return FisherMatrix(fim)
 
 

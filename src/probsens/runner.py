@@ -277,6 +277,12 @@ def run_case(config: RunConfig) -> dict:
     n = config.n_samples
 
     batch = sample(model, n, config.seed)
+    # the zero-mean score check of the criteria table, column by column: an
+    # axis-0 reduction of the row-major scores takes ten times as long
+    score_moments = {
+        "mean": [float(c.mean()) for c in batch.scores.T],
+        "std_err": [float(c.std(ddof=1)) / math.sqrt(n) for c in batch.scores.T],
+    }
     outputs = evaluate_outputs(case.h, batch.draws, workers=config.workers)
     scale = case.scale(outputs)
     y = outputs / scale
@@ -290,6 +296,14 @@ def run_case(config: RunConfig) -> dict:
     dg = estimate_output_density(y, batch.scores, bandwidth=config.bandwidth)
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
+
+    if config.perturbations is not None:
+        dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
+    else:
+        dbs = _auto_perturbations(model, config.perturbation_scale)
+    # every quadratic form before any shifted batch is mapped: a perturbation
+    # whose form is not finite raises here
+    quads = [(f_x.quad_form(db), f_y.quad_form(db)) for db in dbs]
 
     chain = check_sensitivity_bound(curve, f_y)
     chain_ok = bool(np.all(chain.satisfied))
@@ -311,14 +325,10 @@ def run_case(config: RunConfig) -> dict:
 
     # perturbation bound on paired runs: each shifted model maps the base
     # batch's standard normals, so the pairs share their random numbers
-    if config.perturbations is not None:
-        dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
-    else:
-        dbs = _auto_perturbations(model, config.perturbation_scale)
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
-    for db in dbs:
+    for db, (quad_fx, quad_fy) in zip(dbs, quads):
         shifted = model.shifted(db)
         draws_p = shifted.from_standard(batch.normals)
         y_p = evaluate_outputs(case.h, draws_p, workers=config.workers) / scale
@@ -331,9 +341,9 @@ def run_case(config: RunConfig) -> dict:
         perturbation_reports.append(
             {
                 "db": [float(v) for v in db],
-                "quad_fx": f_x.quad_form(db),
-                "quad_fy": f_y.quad_form(db),
-                "delta_h_fx": 0.5 * f_x.quad_form(db),
+                "quad_fx": quad_fx,
+                "quad_fy": quad_fy,
+                "delta_h_fx": 0.5 * quad_fx,
                 "max_dpf_sq": float(np.max((pf_p - curve.p_f) ** 2)),
                 "violations_fx": viol_x,
                 "violations_fy": viol_y,
@@ -349,8 +359,8 @@ def run_case(config: RunConfig) -> dict:
                 "db": [float(v) for v in db],
                 "kl_forward": kl_fwd,
                 "kl_reverse": kl_rev,
-                "half_quad_fy": 0.5 * f_y.quad_form(db),
-                "half_quad_fx": 0.5 * f_x.quad_form(db),
+                "half_quad_fy": 0.5 * quad_fy,
+                "half_quad_fx": 0.5 * quad_fx,
                 "rel_err_forward_fy": kl_quadratic_consistency(f_y, db, kl_fwd),
                 "rel_err_reverse_fy": kl_quadratic_consistency(f_y, db, kl_rev),
                 "rel_err_forward_fx": kl_quadratic_consistency(f_x, db, kl_fwd),
@@ -382,7 +392,9 @@ def run_case(config: RunConfig) -> dict:
             "n_samples": config.n_samples,
             "config": config.provenance_dict(),
         },
-        "_density_grid": dg,  # stripped before serialisation
+        # in memory only: stripped before serialisation (_pop_private)
+        "_density_grid": dg,
+        "_scores": score_moments,
     }
 
 
@@ -482,7 +494,7 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    dg = report.pop("_density_grid", None)
+    dg = _pop_private(report).get("_density_grid")
     param_names = report.get("param_names")
     rows = report.get("rows")
     if rows:
@@ -509,13 +521,19 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
     return written
 
 
+def _pop_private(report: dict) -> dict:
+    """Remove the report's in-memory entries, whose keys start with ``_``, and
+    return them."""
+    return {key: report.pop(key) for key in [key for key in report if key.startswith("_")]}
+
+
 def run(config: RunConfig) -> tuple[dict, int]:
     """Run a case, write outputs if configured, return (report, exit code)."""
     report = run_case(config)
     if config.out_dir:
         write_outputs(report, config.out_dir)
     else:
-        report.pop("_density_grid", None)
+        _pop_private(report)
     return report, (0 if report["all_bounds_satisfied"] else 1)
 
 
@@ -529,8 +547,9 @@ def verify(
 
     Each case is one :func:`run_case` on ``config`` with its case replaced,
     judged by :mod:`probsens.criteria`, whose Monte-Carlo tolerances widen by
-    sqrt(1e5 / N); the input-level score checks, the theorem suites and the
-    discrete oracle run as well, at the config's seed.  Without a config the
+    sqrt(1e5 / N), on the one batch the run draws; the score formulas'
+    finite-difference check, the theorem suites and the discrete oracle run
+    as well, at the config's seed.  Without a config the
     defaults run at 2e4 samples; ``n_samples`` overrides either.
     """
     config = config or RunConfig(n_samples=20000)
@@ -545,14 +564,7 @@ def verify(
             failures.append(name)
 
     for case_name in cases:
-        cfg = replace(config, case=case_name)
-
-        # zero-mean score, self-normalised to 5 standard errors
-        scores = sample(build_case(cfg).model, cfg.n_samples, cfg.seed).scores
-        se = scores.std(axis=0, ddof=1) / math.sqrt(cfg.n_samples)
-        check(f"{case_name}: zero-mean scores", bool(np.all(np.abs(scores.mean(axis=0)) <= 5.0 * se)))
-
-        for name, value, tol, ok in evaluate(run_case(cfg)):
+        for name, value, tol, ok in evaluate(run_case(replace(config, case=case_name))):
             check(f"{case_name}: {name}", ok, f"{value:.3g}, tolerance {tol:.3g}")
 
     # score formulas against log-density differences

@@ -8,7 +8,8 @@ import pytest
 import probsens as ps
 from probsens.errors import ContractError
 from probsens.mclr import DensityGrid
-from probsens.rng import CHUNK, chunk_ranges
+from probsens.rng import CHUNK, chunk_ranges, uniform_open
+from probsens.special import ndtri
 
 
 def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -66,6 +67,30 @@ def stable_threshold_sums(gvals, zs, direction, weights=None):
     csum = np.zeros((gvals.size + 1,) + weights.shape[1:])
     np.cumsum(sorted_w, axis=0, out=csum[1:])
     return counts, csum[counts]
+
+
+def bincount_linear_bin(coords, shape, weights):
+    """The binning as it was before row blocks: every corner's nodes and
+    shares concatenated, and one ``bincount`` per column of the (N, columns)
+    ``weights``; the reference for ``mclr._linear_bin``."""
+    low = [np.minimum(u.astype(np.intp), size - 2) for u, size in zip(coords, shape)]
+    frac = [u - i for u, i in zip(coords, low)]
+    nodes, shares = [], []
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        nodes.append(np.ravel_multi_index([i + c for i, c in zip(low, corner)], shape))
+        shares.append(math.prod(f if c else 1.0 - f for f, c in zip(frac, corner)))
+    nodes, shares = np.concatenate(nodes), np.concatenate(shares)
+    tiles = 2 ** len(shape)
+    return [np.bincount(nodes, shares * np.tile(w, tiles), math.prod(shape)).reshape(shape) for w in weights.T]
+
+
+def whole_array_normals(model: ps.InputModel, n: int, seed: int) -> np.ndarray:
+    """The standard normals of ``sample`` as one ``ndtri`` over each whole
+    column of uniforms; the reference for the chunked inversion."""
+    normals = np.empty((n, model.n_inputs))
+    for j in range(model.n_inputs):
+        normals[:, j] = ndtri(uniform_open(seed, j, 0, n))
+    return normals
 
 
 def _gauss(grid: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:

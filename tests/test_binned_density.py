@@ -130,8 +130,10 @@ def binnings(draw):
 @given(binnings())
 @example(([np.array([0.0]), np.array([0.5])], (2, 2), np.array([[5e-324]])))  # both halves underflow
 def test_linear_binning_keeps_column_totals_and_means(binning):
-    coords, shape, weights = binning
-    cells = np.array(list(_linear_bin(coords, shape, weights)))
+    coords, shape, scores = binning
+    # uncentred, the weight columns are the ones column and the scores as drawn
+    cells = np.array(list(_linear_bin(coords, shape, scores, np.zeros(scores.shape[1]))))
+    weights = np.column_stack([np.ones(len(scores)), scores])
     assert cells.shape == (weights.shape[1],) + shape
     # rounding: relative to the column's absolute sum, plus the absolute
     # floor of a product that underflows, one per node a row is split to

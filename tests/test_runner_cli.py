@@ -290,6 +290,20 @@ def test_verify_passes_and_mutation_fails(capsys, monkeypatch):
     assert "[FAIL] identity: gradient vs finite differences" in out
 
 
+def test_verify_samples_each_case_once(monkeypatch):
+    # the zero-mean score check reads the batch run_case draws
+    calls = []
+    real_sample = runner.sample
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sample", spy)
+    assert verify(n_samples=4000, cases=("identity", "sho")) == 0
+    assert len(calls) == 2
+
+
 def test_cli_verify_runs_the_whole_config(tmp_path, monkeypatch):
     # every field of the file reaches run_case; --samples overrides the file,
     # and without a file the suite runs at 2e4 samples
@@ -336,6 +350,7 @@ def small_report():
 
 # one edit per criterion that moves its measure, and no other, past the tolerance
 _BREAK = {
+    "zero-mean scores": lambda r: r["_scores"].update(mean=[6.0 * se for se in r["_scores"]["std_err"]]),
     "tr_Fx vs closed form": lambda r: r.update(tr_fx=r["tr_fx"] + 1e-6),
     "sensitivity chain violations": lambda r: r["rows"][50].update(norm_le_tr_fy=False),
     "perturbation bound violations": lambda r: r["perturbations"][0].update(violations_fy=1),
@@ -411,6 +426,9 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         # a natural frequency that overflows or underflows
         {"case": "beam", "beam": {"length": 1e100}},
         {"case": "beam", "beam": {"length": 1e-100}},
+        # an output Fisher information or a quadratic form that is infinite or NaN
+        {"n_samples": 2000, "bandwidth": [1e300]},
+        {"n_samples": 2000, "perturbations": [[1e308, 0]]},
         # JSON booleans are not numbers
         {"seed": True},
         {"workers": True},
