@@ -238,7 +238,16 @@ class ScoredSampleBatch:
         return self.draws.shape[0]
 
 
-def sample(model: InputModel, n: int, seed: int, chunk: int = CHUNK) -> ScoredSampleBatch:
+# Rows inverted per ndtri call.  ndtri makes about 75 numpy calls, each with
+# a fixed cost, so small chunks pay it often, and the temporaries of a whole
+# 1e5-row column outgrow the cache.  On a 2-core x86-64 machine, sampling
+# 1e5 identity rows in 16384-row chunks took 15-25% less time than in
+# 4096-row chunks and 7-12% less than as one column (six interleaved runs,
+# medians of 80-120 calls each).
+_INVERSION_CHUNK = 4 * CHUNK
+
+
+def sample(model: InputModel, n: int, seed: int, chunk: int = _INVERSION_CHUNK) -> ScoredSampleBatch:
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
     Column j of the standard normals comes from the counter-based stream

@@ -275,6 +275,12 @@ def run_case(config: RunConfig) -> dict:
         )
     model = case.model
     n = config.n_samples
+    if config.perturbations is not None:
+        dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
+    else:
+        dbs = _auto_perturbations(model, config.perturbation_scale)
+    # a perturbation that gives no valid model is refused before any sampling
+    shifted_models = [model.shifted(db) for db in dbs]
 
     batch = sample(model, n, config.seed)
     # the zero-mean score check of the criteria table, column by column: an
@@ -283,9 +289,10 @@ def run_case(config: RunConfig) -> dict:
         "mean": [float(c.mean()) for c in batch.scores.T],
         "std_err": [float(c.std(ddof=1)) / math.sqrt(n) for c in batch.scores.T],
     }
-    outputs = evaluate_outputs(case.h, batch.draws, workers=config.workers)
-    scale = case.scale(outputs)
-    y = outputs / scale
+    # evaluate_outputs returns a fresh array: normalise it in place
+    y = evaluate_outputs(case.h, batch.draws, workers=config.workers)
+    scale = case.scale(y)
+    y /= scale
     gvals = case.g(y)
 
     # threshold sweep; one stable order of g (_sort_order) serves the curve and the FD check
@@ -297,10 +304,6 @@ def run_case(config: RunConfig) -> dict:
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
 
-    if config.perturbations is not None:
-        dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
-    else:
-        dbs = _auto_perturbations(model, config.perturbation_scale)
     # every quadratic form before any shifted batch is mapped: a perturbation
     # whose form is not finite raises here
     quads = [(f_x.quad_form(db), f_y.quad_form(db)) for db in dbs]
@@ -322,16 +325,17 @@ def run_case(config: RunConfig) -> dict:
 
     # gradient vs likelihood-ratio finite differences at every threshold
     fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step, order)
+    del order
 
     # perturbation bound on paired runs: each shifted model maps the base
     # batch's standard normals, so the pairs share their random numbers
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
-    for db, (quad_fx, quad_fy) in zip(dbs, quads):
-        shifted = model.shifted(db)
+    for db, shifted, (quad_fx, quad_fy) in zip(dbs, shifted_models, quads):
         draws_p = shifted.from_standard(batch.normals)
-        y_p = evaluate_outputs(case.h, draws_p, workers=config.workers) / scale
+        y_p = evaluate_outputs(case.h, draws_p, workers=config.workers)
+        y_p /= scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
         rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)
         ry = check_perturbation_bound(curve.p_f, pf_p, db, f_y)

@@ -84,6 +84,27 @@ def bincount_linear_bin(coords, shape, weights):
     return [np.bincount(nodes, shares * np.tile(w, tiles), math.prod(shape)).reshape(shape) for w in weights.T]
 
 
+def whole_array_gradient_fd(gvals, zs, model, batch, direction="above", rel_step=1e-2, steps=None):
+    """The finite-difference oracle as it was before per-block weights: the
+    base log-density, both likelihood ratios and the (N, n) weight
+    differences of every row formed before the sweep; the reference for
+    ``mclr.estimate_gradient_fd``."""
+    if steps is None:
+        steps = rel_step * model.param_scales()
+    else:
+        steps = np.broadcast_to(np.asarray(steps, dtype=float), (model.n_params,))
+    base_logp = model.logpdf(batch.draws)
+    wdiff = np.empty((batch.n, model.n_params))
+    for j, step in enumerate(steps):
+        db = np.zeros(model.n_params)
+        db[j] = step
+        w_plus = np.exp(model.shifted(db).logpdf(batch.draws) - base_logp)
+        w_minus = np.exp(model.shifted(-db).logpdf(batch.draws) - base_logp)
+        wdiff[:, j] = (w_plus - w_minus) / (2.0 * step)
+    _, sums = stable_threshold_sums(np.asarray(gvals, dtype=float), np.asarray(zs, dtype=float), direction, wdiff)
+    return sums / batch.n
+
+
 def whole_array_normals(model: ps.InputModel, n: int, seed: int) -> np.ndarray:
     """The standard normals of ``sample`` as one ``ndtri`` over each whole
     column of uniforms; the reference for the chunked inversion."""

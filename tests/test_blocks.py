@@ -1,9 +1,11 @@
 """The layers that stream rows in blocks against the whole-array forms they
 replaced, bit for bit.
 
-The threshold sweep (``mclr._threshold_sums``), the density binning
-(``mclr._linear_bin``) and the sampler process the batch in blocks of
-``rng.CHUNK`` rows; the references in ``conftest`` hold every row at once.
+The threshold sweep (``mclr._threshold_sums``), the finite-difference
+oracle's likelihood-ratio weights (``mclr.estimate_gradient_fd``), the
+density binning (``mclr._linear_bin``) and the sampler process the batch in
+row blocks (``rng.CHUNK`` rows; four times that in the sampler); the
+references in ``conftest`` hold every row at once.
 The block length is patched down to 4 and 12 rows, so that small inputs
 span several blocks and end in a partial one.  Equal arrays must also agree
 in the sign of every zero.
@@ -15,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
-from conftest import bincount_linear_bin, peak_bytes, stable_threshold_sums, whole_array_normals
-from probsens import mclr
+from conftest import (
+    bincount_linear_bin,
+    peak_bytes,
+    stable_threshold_sums,
+    whole_array_gradient_fd,
+    whole_array_normals,
+)
+from probsens import distributions, mclr, runner
 from probsens.distributions import MarginalSpec
 from probsens.mclr import _linear_bin, _sort_order, _threshold_sums
 
@@ -25,6 +33,9 @@ BLOCKS = (4, 12)
 
 def _same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_MARGINAL = st.tuples(st.sampled_from(["normal", "lognormal"]), st.floats(-3.0, 3.0), st.floats(0.01, 1.0))
 
 
 @st.composite
@@ -73,6 +84,28 @@ def test_threshold_sums_keep_a_negative_zero_first_row(block, direction):
         counts, sums = _threshold_sums(g, zs, direction, weights)
     assert sorted(counts) == list(range(11))
     assert np.all(np.signbit(sums[counts > 0])) and not np.any(np.signbit(sums[counts == 0]))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(max_examples=40, deadline=None)
+@given(
+    marginals=st.lists(_MARGINAL, min_size=1, max_size=2),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.integers(0, 2),
+    direction=st.sampled_from(["above", "below"]),
+)
+def test_gradient_fd_matches_whole_array_weights(block, marginals, n, seed, decimals, direction):
+    # tied performance values, and a threshold at every distinct value and beyond both ends
+    model = ps.InputModel(tuple(MarginalSpec(*m) for m in marginals))
+    batch = ps.sample(model, n, seed)
+    g = np.round(np.log(np.abs(batch.draws).sum(axis=1)), decimals)
+    zs = np.concatenate([[g.min() - 1.0, g.max() + 1.0], np.unique(g)])
+    ref = whole_array_gradient_fd(g, zs, model, batch, direction)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mclr, "CHUNK", block)
+        for order in (None, _sort_order(g)):
+            assert _same_bits(mclr.estimate_gradient_fd(g, zs, model, batch, direction, _order=order), ref)
 
 
 @st.composite
@@ -137,9 +170,6 @@ def test_density_grid_with_rows_off_a_fixed_grid(k, block, monkeypatch):
     assert _same_bits(blocked.density_grad, ref.density_grad)
 
 
-_MARGINAL = st.tuples(st.sampled_from(["normal", "lognormal"]), st.floats(-3.0, 3.0), st.floats(0.01, 1.0))
-
-
 @pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=40, deadline=None)
 @given(marginals=st.lists(_MARGINAL, min_size=1, max_size=3), n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1))
@@ -153,6 +183,13 @@ def test_sample_matches_whole_array_inversion(block, marginals, n, seed):
     assert _same_bits(batch.scores, model.scores(draws))
 
 
+def test_sample_default_chunks_match_whole_array_inversion():
+    # the default inversion chunk is a multiple of CHUNK; three chunks, the last partial
+    model = ps.InputModel((ps.normal(1.0, 0.2), ps.lognormal(7.88, 0.2)))
+    n = 2 * distributions._INVERSION_CHUNK + 5
+    assert _same_bits(ps.sample(model, n, 11).normals, whole_array_normals(model, n, 11))
+
+
 def test_sweep_and_density_memory_does_not_grow_with_the_columns():
     # at N = 1e5 with two scores the whole-array forms traced 11.2 MB (the
     # sweep) and 11.5 MB (the density grid); blocked, 2.0 and 2.9 MB
@@ -161,3 +198,29 @@ def test_sweep_and_density_memory_does_not_grow_with_the_columns():
     g, scores = rng.standard_normal(n), rng.standard_normal((n, 2))
     assert peak_bytes(lambda: mclr.sensitivity_curve(g, scores, np.arange(1, 100), "below")) < 4e6
     assert peak_bytes(lambda: mclr.estimate_output_density(g, scores)) < 4e6
+
+
+def test_gradient_fd_memory_does_not_grow_with_the_parameters():
+    # identity at N = 1e5: forming every row's weights before the sweep
+    # traced 6.4 MB; per sorted block, 2.1 MB (the sort of g included)
+    model = ps.InputModel((ps.normal(1.0, 0.2),))
+    batch = ps.sample(model, 100_000, 1)
+    g = batch.draws[:, 0]
+    zs = np.linspace(0.5, 1.5, 99)
+    assert peak_bytes(lambda: mclr.estimate_gradient_fd(g, zs, model, batch, "below")) < 3e6
+
+
+def test_two_dimensional_density_holds_one_lattice():
+    # the KL batch of the beam at 2000 samples, on its base grid: each of
+    # its five weight columns bins onto a 2.65 MB lattice.  Holding the
+    # previous lattice while the next is filled traced 10.56 MB; one at a
+    # time, 9.55 MB
+    case = runner.build_case(runner.RunConfig(case="beam", n_samples=2000))
+    batch = ps.sample(case.model, 2000, 1)
+    outputs = mclr.evaluate_outputs(case.h, batch.draws)
+    scale = case.scale(outputs)
+    dg = mclr.estimate_output_density(outputs / scale, batch.scores)
+    shifted = case.model.shifted(0.2 * case.model.param_scales())
+    draws_p = shifted.from_standard(batch.normals)
+    y_p, scores_p = mclr.evaluate_outputs(case.h, draws_p) / scale, shifted.scores(draws_p)
+    assert peak_bytes(lambda: mclr.estimate_output_density(y_p, scores_p, bandwidth=dg.bandwidth, axes=dg.axes)) < 10e6

@@ -230,6 +230,14 @@ def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
     assert peak_bytes(lambda: write_outputs(report, str(tmp_path))) < 10e6
 
 
+def test_identity_run_memory():
+    # the finite-difference check formed every row's likelihood ratios before
+    # its sweep and was the run's peak, 12.1 MB traced; the peak is now the
+    # KL batch's density grid, 10.2 MB
+    config = RunConfig(case="identity", bandwidth=[0.04], seed=1)
+    assert peak_bytes(lambda: run_case(config)) < 10.5e6
+
+
 def test_discrete_oracle_case(tmp_path):
     cfg = RunConfig(case="discrete-oracle", out_dir=str(tmp_path))
     report, code = run(cfg)
@@ -341,6 +349,31 @@ def test_cli_refuses_bad_bandwidth_before_sampling(bandwidth, tmp_path, monkeypa
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "case, db",
+    [
+        ("identity", [0.1, -0.3]),  # sigma 0.2 shifted below zero
+        ("identity", [0.1]),
+        ("identity", [float("nan"), 0.01]),
+        ("beam", [0.0, 0.0, 0.1, -0.3]),  # the density's sigma 0.2 shifted below zero
+        ("beam", [0.1, 0.01]),
+    ],
+)
+def test_run_refuses_bad_perturbation_before_sampling(case, db, monkeypatch):
+    # every shifted model is built before the base batch is drawn
+    calls = []
+    real_sample = runner.sample
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sample", spy)
+    with pytest.raises(ps.ProbsensError):
+        run_case(RunConfig(case=case, n_samples=2000, perturbations=[db]))
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def small_report():
     report = run_case(RunConfig(case="identity", n_samples=4000))
@@ -414,6 +447,9 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         {"bandwidth": [float("inf")]},
         {"bandwidth": []},
         {"perturbations": [[0.1]]},
+        # a shifted sigma below zero, or a NaN shift
+        {"perturbations": [[0.1, -0.3]]},
+        {"perturbations": [[float("nan"), 0.01]]},
         {"percentiles": ["abc"]},
         {"percentiles": "57"},
         {"case": "discrete-oracle", "oracle": {"thetas": [1.5]}},
