@@ -48,5 +48,5 @@ print(f"ordering tr(F_y) <= tr(F_x): {ps.info_processing_check(f_y, f_x).satisfi
 
 # Per-component view at the median threshold: damping carries nearly all
 # of the probability sensitivity at this design point.
-for name, grad in zip(model.param_vector().names, curve.gradient[len(curve) // 2]):
+for name, grad in zip(model.param_names, curve.gradient[len(curve) // 2]):
     print(f"  dP_f/d({name:9s}) = {grad:9.3f}")

@@ -25,7 +25,6 @@ from .bounds import (
 from .distributions import (
     InputModel,
     MarginalSpec,
-    ParamVector,
     ScoredSampleBatch,
     lognormal,
     normal,
@@ -64,7 +63,6 @@ __all__ = [
     "FisherMatrix",
     "InputModel",
     "MarginalSpec",
-    "ParamVector",
     "ParameterDomainError",
     "ProbsensError",
     "ScoredSampleBatch",

@@ -106,31 +106,6 @@ def lognormal(mu: float, sigma: float) -> MarginalSpec:
 
 
 @dataclass(frozen=True)
-class ParamVector:
-    """Named distribution parameters, the differentiation variables."""
-
-    names: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ContractError("parameter vector must be 1-D with at least one entry")
-        if len(self.names) != values.size:
-            raise ContractError("parameter names and values differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise ContractError("parameter names must be unique")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class InputModel:
     """Ordered independent marginals; the joint density is the product."""
 
@@ -149,19 +124,18 @@ class InputModel:
     def n_params(self) -> int:
         return 2 * len(self.marginals)
 
-    def param_vector(self) -> ParamVector:
-        names, values = [], []
-        for i, m in enumerate(self.marginals):
-            names += [f"x{i}.mu", f"x{i}.sigma"]
-            values += [m.mu, m.sigma]
-        return ParamVector(tuple(names), np.array(values))
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """The differentiation variables, in the order of every score column,
+        information matrix and perturbation: ``x<i>.mu``, ``x<i>.sigma``."""
+        return tuple(f"x{i}.{name}" for i in range(self.n_inputs) for name in ("mu", "sigma"))
 
     def param_scales(self) -> np.ndarray:
         """Natural scale of each parameter: the sigma of the owning marginal."""
         return np.repeat([m.sigma for m in self.marginals], 2).astype(float)
 
     def shifted(self, db) -> "InputModel":
-        """New model with parameters moved by db (same ordering as param_vector)."""
+        """New model with parameters moved by db (ordered as param_names)."""
         db = np.asarray(db, dtype=float)
         if db.shape != (self.n_params,):
             raise ContractError(f"expected perturbation of length {self.n_params}, got {db.shape}")
@@ -247,23 +221,26 @@ class ScoredSampleBatch:
 _INVERSION_CHUNK = 4 * CHUNK
 
 
-def sample(model: InputModel, n: int, seed: int, chunk: int = _INVERSION_CHUNK) -> ScoredSampleBatch:
+def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
     Column j of the standard normals comes from the counter-based stream
-    (seed, j) through ``ndtri``, one chunk at a time: each chunk's uniforms
-    are drawn, inverted and written straight into their rows, so no
-    N-length uniform or ``ndtri`` temporary is formed.  ``ndtri`` is
-    elementwise, so the chunk size never changes the output bits.  The draws are
-    ``model.from_standard(normals)``, so for any shifted model
+    (seed, j) through ``ndtri``, one chunk of ``_INVERSION_CHUNK`` rows at
+    a time: each chunk's uniforms are drawn, inverted and written straight
+    into their rows, so no N-length uniform or ``ndtri`` temporary is
+    formed.  ``ndtri`` is elementwise, so the chunk size never changes the
+    output bits.  The draws are ``model.from_standard(normals)``, so for
+    any shifted model
     ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
     ``sample(shifted, n, seed)``, without drawing or inverting again.
     """
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ParameterDomainError(f"seed must be in [0, 2**64), got {seed}")
     normals = np.empty((n, model.n_inputs))
     for j in range(model.n_inputs):
-        for start, stop in chunk_ranges(n, chunk):
+        for start, stop in chunk_ranges(n, _INVERSION_CHUNK):
             normals[start:stop, j] = ndtri(uniform_open(seed, j, start, stop - start))
     draws = model.from_standard(normals)
     return ScoredSampleBatch(draws=draws, scores=model.scores(draws), normals=normals, seed=seed)

@@ -15,30 +15,29 @@ The three indicator-weighted means come from one sorted sweep that serves
 every threshold at once (:func:`_threshold_sums`).  Its order is the stable
 argsort of the performance values, which :func:`_sort_order` takes from
 numpy's default sort and from the stable sort only when two values tie:
-without ties the sorting permutation is unique.  The density grid is a
-binned kernel estimator (:func:`estimate_output_density`): the weights are
-binned linearly onto a lattice 16 (1-D) or 2 (2-D) times finer than the
-output axes, and the Gaussian sampled on that lattice, cut at 8 widths, is
-summed at the axis nodes, so the cost grows with the grid, not with N
-times the grid.  Against the exact kernel sum the 1-D density moves by at
-most 9e-8 of its peak and the 2-D beam density by 3e-5; tr(F_y) by 1.3e-9
-and 2.3e-6 relative.  Reductions run in a fixed order, so results do not
-depend on how the batch was produced.  The sweep and the binning stream the
-rows in blocks of ``CHUNK`` (4096) and never form an (N, columns) array:
-the sweep's cumulative sum restarts each block from the previous block's
-last total, and the binning adds each block's shares into the lattice with
-``np.add.at``, corner by corner.  Both add in the order of one pass over
-all rows (a sequential cumulative sum, one ``bincount`` per column), so
-every bit equals that of the whole-array forms.  The finite-difference
-oracle's likelihood-ratio weights are formed inside the sweep, one block
-of sorted rows at a time; each depends only on its own row, so at
-identity N = 1e5 the oracle traces 1.3 MB with its caller's sort order
-passed, where forming every row's weights first traced 6.4 MB.
+without ties the sorting permutation is unique.  The sweep takes its
+weights as a function of row indices and asks for one block of ``CHUNK``
+(4096) sorted rows at a time, so no caller forms an (N, columns) weight
+array: the curve gathers its score rows and their squares, the
+finite-difference oracle computes its likelihood-ratio weights, block by
+block.  The density grid is a binned kernel estimator
+(:func:`estimate_output_density`): the weights are binned linearly onto a
+lattice 16 (1-D) or 2 (2-D) times finer than the output axes, and the
+Gaussian sampled on that lattice, cut at 8 widths, is summed at the axis
+nodes, so the cost grows with the grid, not with N times the grid.
+Against the exact kernel sum the 1-D density moves by at most 9e-8 of its
+peak and the 2-D beam density by 3e-5; tr(F_y) by 1.3e-9 and 2.3e-6
+relative.  Reductions run in a fixed order, so results do not depend on
+how the batch was produced.  The sweep's cumulative sum restarts each
+block from the previous block's last total, and the binning adds each
+block's shares into the lattice with ``np.add.at``, corner by corner.
+Both add in the order of one pass over all rows (a sequential cumulative
+sum, one ``bincount`` per column), so every bit equals that of the
+whole-array forms.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -94,15 +93,14 @@ class SensitivityResult:
 def evaluate_outputs(
     h: Callable[[np.ndarray], np.ndarray],
     draws: np.ndarray,
-    chunk: int = CHUNK,
     workers: int = 1,
 ) -> np.ndarray:
-    """Apply the forward map h to every draw, in fixed chunks.
+    """Apply the forward map h to every draw, in fixed chunks of ``CHUNK`` rows.
 
     The chunk partition is constant, so worker count never changes the
     result.  Non-finite outputs are reported with the offending draw index.
     """
-    ranges = chunk_ranges(draws.shape[0], chunk)
+    ranges = chunk_ranges(draws.shape[0], CHUNK)
 
     def one(rng):
         start, stop = rng
@@ -169,7 +167,7 @@ def _sort_order(gvals: np.ndarray) -> np.ndarray:
     return np.argsort(gvals, kind="stable")
 
 
-def _threshold_sums(gvals, zs, direction: str, weights=None, order=None, squares: bool = False):
+def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     """Failure-set size and weight column sums at every threshold at once.
 
     ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
@@ -182,21 +180,18 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None, squares
     (above) of the sorted rows of that length; each column sum is one row
     of a cumulative sum over the sorted weights.  A threshold's result
     depends only on its own failure set, never on the other thresholds,
-    and no (thresholds, rows) array is formed.  ``weights`` is an
-    (N, columns) matrix, or a function that returns the weight rows of an
-    array of row indices: the sweep calls it with each block's sorted rows
-    (and once with no rows, for the column count), so weights computed
-    row by row are never held for all rows at once.
+    and no (thresholds, rows) array is formed.
 
-    The sorted rows are gathered and summed ``CHUNK`` at a time.  Each
-    block's first row is added to the previous block's last total before
-    its cumulative sum, so every total is formed by the same sequential
-    additions as one cumulative sum over all rows (addition commutes
-    exactly; the first block gets no ``+0.0`` carry, which would turn a
-    ``-0.0`` first weight into ``+0.0``).  A threshold reads its row from
-    the block that holds its count, and count 0 reads ``0.0``.  With
-    ``squares``, each gathered block's squared weights are appended as
-    further columns.
+    ``weights`` is a function that returns a new (rows, columns) array of
+    the weight rows of an array of row indices; the sweep may write to it.
+    The sweep calls it with each block of ``CHUNK`` sorted rows, and once
+    with no rows for the column count, so weights are never held for all
+    rows at once.  Each block's first row is added to the previous block's
+    last total before its cumulative sum, so every total is formed by the
+    same sequential additions as one cumulative sum over all rows (addition
+    commutes exactly; the first block gets no ``+0.0`` carry, which would
+    turn a ``-0.0`` first weight into ``+0.0``).  A threshold reads its row
+    from the block that holds its count, and count 0 reads ``0.0``.
 
     Returns the counts, shape (T,), and the sums, shape (T, columns)
     (None without weights).
@@ -215,20 +210,10 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None, squares
     counts = n_below if direction == "below" else gvals.size - n_below
     if weights is None:
         return counts, None
-    if callable(weights):
-        take = weights
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != gvals.size:
-            raise ContractError("weights must be an (N, columns) matrix with one row per performance value")
-        take = functools.partial(np.take, weights, axis=0)
     rows = order if direction == "below" else order[::-1]
-    # the rows of no index give the column count
-    sums = np.zeros((zs.size, take(rows[:0]).shape[1] * (2 if squares else 1)))
+    sums = np.zeros((zs.size, weights(rows[:0]).shape[1]))
     for start, stop in chunk_ranges(gvals.size, CHUNK):
-        block = take(rows[start:stop])
-        if squares:
-            block = np.hstack([block, block * block])
+        block = weights(rows[start:stop])
         if start:
             block[0] += csum[-1]
         csum = np.cumsum(block, axis=0)
@@ -244,7 +229,6 @@ def estimate_gradient_fd(
     batch: ScoredSampleBatch,
     direction: str = "above",
     rel_step: float = 1e-2,
-    steps=None,
     *,
     _order=None,
 ) -> np.ndarray:
@@ -256,28 +240,21 @@ def estimate_gradient_fd(
     :func:`sensitivity_curve`, so the comparison isolates the analytic
     score formulas from Monte-Carlo noise.
 
-    Steps default to ``rel_step`` times each parameter's natural scale (the
+    Each parameter's step is ``rel_step`` times its natural scale (the
     owning marginal's sigma), which keeps the likelihood-ratio exponents
-    of order rel_step; pass ``steps`` for explicit per-parameter control.
-    Returns one row of n_params components per threshold in ``zs``.
-    ``_order`` is the stable argsort of ``gvals`` (:func:`_sort_order`)
-    when the caller holds it.
+    of order rel_step.  Returns one row of n_params components per
+    threshold in ``zs``.  ``_order`` is the stable argsort of ``gvals``
+    (:func:`_sort_order`) when the caller holds it.
 
-    The 2n shifted models are built once.  The weight differences are
-    formed inside the sorted sweep of :func:`_threshold_sums`, for one
-    block of ``CHUNK`` sorted rows at a time: the block's draws are
-    gathered, and its base log-density, both likelihood ratios
-    ``exp(shifted logpdf - base)`` and their central difference are
-    computed for those rows only.  Every step is elementwise within a row,
-    so the bits equal those of forming every row's weights first, and no
-    N-length weight is held: at identity N = 1e5 the call traces 1.3 MB
-    with ``_order`` passed (2.1 MB without), where the whole-array form
-    traced 6.4 MB.
+    The 2n shifted models are built once.  The weight differences are the
+    sweep's weight function (:func:`_threshold_sums`): for each block of
+    sorted rows, the block's draws are gathered, and its base log-density,
+    both likelihood ratios ``exp(shifted logpdf - base)`` and their central
+    difference are computed for those rows only.  Every step is
+    elementwise within a row, so the bits equal those of forming every
+    row's weights first, and no N-length weight is held.
     """
-    if steps is None:
-        steps = rel_step * model.param_scales()
-    else:
-        steps = np.broadcast_to(np.asarray(steps, dtype=float), (model.n_params,))
+    steps = rel_step * model.param_scales()
     if np.any(steps <= 0.0):
         raise ParameterDomainError("finite-difference steps must be positive")
     if np.size(gvals) != batch.n:
@@ -313,7 +290,7 @@ def sensitivity_curve(
     (:func:`_sort_order`) when the caller holds it.
     """
     percentiles = np.asarray(percentiles, dtype=float)
-    if np.any(percentiles <= 0.0) or np.any(percentiles >= 100.0):
+    if not np.all((percentiles > 0.0) & (percentiles < 100.0)):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
     gvals = _performance_values(gvals)
     scores = np.asarray(scores, dtype=float)
@@ -324,7 +301,13 @@ def sensitivity_curve(
     order = _sort_order(gvals) if _order is None else _order
     zs = _linear_percentiles(gvals[order], percentiles)
     n, n_params = scores.shape
-    counts, sums = _threshold_sums(gvals, zs, direction, scores, order, squares=True)
+
+    def moments(rows):
+        # each gathered score row and its squares: the summand's first two moments
+        block = np.take(scores, rows, axis=0)
+        return np.hstack([block, block * block])
+
+    counts, sums = _threshold_sums(gvals, zs, direction, moments, order)
     grads = sums[:, :n_params] / n
     var = (sums[:, n_params:] - n * grads**2) / (n - 1)  # rounding can take 0 below 0
     p_f = counts / n
@@ -512,13 +495,9 @@ def estimate_output_density(
     at seeds 1, 7 and 141, on the base and the perturbed grid: the 1-D
     density moves by at most 9e-8 of its peak, tr(F_y) by 1.3e-9 and the
     KL by 3e-7 relative; the 2-D beam density (2000 and 20000 samples) by
-    3e-5 of its peak, tr(F_y) by 2.3e-6 and the KL by 5.5e-4 relative.  On
-    a 2-core x86-64 machine with one BLAS thread a call takes 0.015 s for
-    1e5 samples in 1-D (1.3 s as an exact sum) and 0.035 s for 2000 beam
-    samples (0.06 s), 0.05 s for 20000 (2.9 s).  The rows are binned in
-    blocks (:func:`_linear_bin`), so the 1-D call traces 2.9 MB of memory at
-    1e5 samples with two scores, where binning all rows at once traced
-    11.5 MB.
+    3e-5 of its peak, tr(F_y) by 2.3e-6 and the KL by 5.5e-4 relative.  The
+    rows are binned in blocks (:func:`_linear_bin`), so no (N, columns)
+    weight array is formed.
 
     Parameters
     ----------
@@ -539,8 +518,8 @@ def estimate_output_density(
     if n < 1000:
         raise ContractError(f"need at least 1000 samples for a stable density, got {n}")
     scores = np.asarray(scores, dtype=float)
-    if scores.shape[0] != n:
-        raise ContractError("scores do not match outputs in length")
+    if scores.ndim != 2 or scores.shape[0] != n:
+        raise ContractError("scores must be an (N, n) matrix with one row per output row")
     bad = ~np.all(np.isfinite(outputs), axis=1)
     if np.any(bad):
         raise EvaluationError(f"output is not finite at row {int(np.flatnonzero(bad)[0])}")

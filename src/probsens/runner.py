@@ -372,7 +372,7 @@ def run_case(config: RunConfig) -> dict:
             }
 
     all_ok = bool(chain_ok and info_rep.satisfied and all_pert_ok)
-    param_names = list(model.param_vector().names)
+    param_names = list(model.param_names)
     return {
         "case": case.name,
         "all_bounds_satisfied": all_ok,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -54,6 +55,12 @@ def pairwise_peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sq.max(axis=1)
 
 
+def weight_rows(weights):
+    """The weight function of ``mclr._threshold_sums`` for a whole (N, columns)
+    matrix: the rows of an array of row indices, gathered with ``np.take``."""
+    return functools.partial(np.take, np.asarray(weights, dtype=float), axis=0)
+
+
 def stable_threshold_sums(gvals, zs, direction, weights=None):
     """The sweep as it was before ``mclr._sort_order`` and ``np.take``: the
     stable argsort of g and a fancy-index gather of the sorted weight rows,
@@ -84,15 +91,12 @@ def bincount_linear_bin(coords, shape, weights):
     return [np.bincount(nodes, shares * np.tile(w, tiles), math.prod(shape)).reshape(shape) for w in weights.T]
 
 
-def whole_array_gradient_fd(gvals, zs, model, batch, direction="above", rel_step=1e-2, steps=None):
+def whole_array_gradient_fd(gvals, zs, model, batch, direction="above", rel_step=1e-2):
     """The finite-difference oracle as it was before per-block weights: the
     base log-density, both likelihood ratios and the (N, n) weight
     differences of every row formed before the sweep; the reference for
     ``mclr.estimate_gradient_fd``."""
-    if steps is None:
-        steps = rel_step * model.param_scales()
-    else:
-        steps = np.broadcast_to(np.asarray(steps, dtype=float), (model.n_params,))
+    steps = rel_step * model.param_scales()
     base_logp = model.logpdf(batch.draws)
     wdiff = np.empty((batch.n, model.n_params))
     for j, step in enumerate(steps):

@@ -21,6 +21,7 @@ from conftest import (
     bincount_linear_bin,
     peak_bytes,
     stable_threshold_sums,
+    weight_rows,
     whole_array_gradient_fd,
     whole_array_normals,
 )
@@ -57,19 +58,31 @@ def sweeps(draw):
     return g, weights, zs
 
 
+@pytest.mark.filterwarnings("ignore:degenerate output")
 @pytest.mark.parametrize("block", BLOCKS)
 @settings(deadline=None)
 @given(sweeps(), st.sampled_from(["above", "below"]))
 def test_threshold_sums_match_one_cumulative_sum(block, sweep, direction):
     g, weights, zs = sweep
-    with pytest.MonkeyPatch.context() as mp:
+    ref_counts, ref_sums = stable_threshold_sums(g, zs, direction, weights)
+    real_sweep, curve_sums = mclr._threshold_sums, []
+
+    def spy(*args):
+        # the curve's own call: its score rows and their squares, from its weight function
+        out = real_sweep(*args)
+        curve_sums.append((args[1], out[1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore", invalid="ignore"):
         mp.setattr(mclr, "CHUNK", block)
-        for squares, ref_weights in ((False, weights), (True, np.hstack([weights, weights**2]))):
-            ref_counts, ref_sums = stable_threshold_sums(g, zs, direction, ref_weights)
-            for order in (None, _sort_order(g)):
-                counts, sums = _threshold_sums(g, zs, direction, weights, order, squares=squares)
-                assert np.array_equal(counts, ref_counts)
-                assert _same_bits(sums, ref_sums)
+        for order in (None, _sort_order(g)):
+            counts, sums = _threshold_sums(g, zs, direction, weight_rows(weights), order)
+            assert np.array_equal(counts, ref_counts)
+            assert _same_bits(sums, ref_sums)
+        mp.setattr(mclr, "_threshold_sums", spy)
+        mclr.sensitivity_curve(g, weights, np.linspace(1.0, 99.0, 9), direction)
+    ((curve_z, sums),) = curve_sums
+    assert _same_bits(sums, stable_threshold_sums(g, curve_z, direction, np.hstack([weights, weights**2]))[1])
 
 
 @pytest.mark.parametrize("direction", ["above", "below"])
@@ -81,7 +94,7 @@ def test_threshold_sums_keep_a_negative_zero_first_row(block, direction):
     zs = np.arange(-1.0, 10.0)  # counts 0 to N in both directions
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mclr, "CHUNK", block)
-        counts, sums = _threshold_sums(g, zs, direction, weights)
+        counts, sums = _threshold_sums(g, zs, direction, weight_rows(weights))
     assert sorted(counts) == list(range(11))
     assert np.all(np.signbit(sums[counts > 0])) and not np.any(np.signbit(sums[counts == 0]))
 
@@ -175,7 +188,9 @@ def test_density_grid_with_rows_off_a_fixed_grid(k, block, monkeypatch):
 @given(marginals=st.lists(_MARGINAL, min_size=1, max_size=3), n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1))
 def test_sample_matches_whole_array_inversion(block, marginals, n, seed):
     model = ps.InputModel(tuple(MarginalSpec(*m) for m in marginals))
-    batch = ps.sample(model, n, seed, chunk=block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_INVERSION_CHUNK", block)
+        batch = ps.sample(model, n, seed)
     normals = whole_array_normals(model, n, seed)
     assert _same_bits(batch.normals, normals)
     draws = model.from_standard(normals)

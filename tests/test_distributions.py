@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import probsens as ps
 from conftest import joint_score_and_fim
+from probsens import distributions
 from probsens.distributions import MarginalSpec
 from probsens.rng import CHUNK
 
@@ -62,13 +63,18 @@ def test_sampling_is_deterministic():
     b2 = ps.sample(m, 4, seed=7)
     assert np.array_equal(b1.draws, b2.draws)
     assert np.array_equal(b1.scores, b2.scores)
+    # a seed outside [0, 2**64) is refused, as the run configuration refuses it
+    for seed in (-1, 2**64):
+        with pytest.raises(ps.ParameterDomainError, match="seed"):
+            ps.sample(m, 4, seed=seed)
 
 
-def test_sampling_is_chunk_schedule_independent():
+def test_sampling_is_chunk_schedule_independent(monkeypatch):
     m = ps.InputModel((ps.normal(1.0, 0.2), ps.lognormal(0.0, 0.5)))
     full = ps.sample(m, 10001, seed=3)
     for chunk in (8, 1000, 4096, 100000):
-        again = ps.sample(m, 10001, seed=3, chunk=chunk)
+        monkeypatch.setattr(distributions, "_INVERSION_CHUNK", chunk)
+        again = ps.sample(m, 10001, seed=3)
         assert np.array_equal(full.draws, again.draws)
 
 
@@ -217,12 +223,10 @@ def test_lognormal_normal_score_duality():
     assert np.allclose(ln, nm)
 
 
-def test_param_vector_contract():
-    with pytest.raises(ps.ContractError):
-        ps.ParamVector(("a", "a"), np.array([1.0, 2.0]))
-    pv = ps.InputModel((ps.normal(1.0, 0.1), ps.normal(0.1, 0.01))).param_vector()
-    assert pv.n == 4
-    assert pv.names == ("x0.mu", "x0.sigma", "x1.mu", "x1.sigma")
+def test_param_names():
+    m = ps.InputModel((ps.normal(1.0, 0.1), ps.normal(0.1, 0.01)))
+    assert m.param_names == ("x0.mu", "x0.sigma", "x1.mu", "x1.sigma")
+    assert len(m.param_names) == m.n_params
 
 
 def test_shifted_model_and_scales():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
-from conftest import min_eigenvalue, normal_pdf_grid
+from conftest import min_eigenvalue, normal_pdf_grid, weight_rows
 from probsens.mclr import DensityGrid, _threshold_sums
 
 IDENTITY = ps.InputModel((ps.normal(1.0, 0.2),))
@@ -32,7 +32,7 @@ def test_pf_at_median_is_half(batch):
 
 
 def test_gradient_is_mean_score_when_always_failing(batch):
-    counts, sums = _threshold_sums(batch.draws[:, 0], [-100.0], "above", batch.scores)
+    counts, sums = _threshold_sums(batch.draws[:, 0], [-100.0], "above", weight_rows(batch.scores))
     assert counts[0] == batch.n
     # P_f == 1 is parameter independent; gradient is the (zero-mean) score mean
     grad = sums[0] / batch.n
@@ -52,9 +52,9 @@ def test_gradient_closed_form_at_mean(batch):
 
 
 def test_gradient_vs_fd_step_1e3(batch):
-    # explicit 1e-3 steps; agreement wherever |component| > 0.1
+    # 1e-3 steps (5e-3 of sigma = 0.2); agreement wherever |component| > 0.1
     curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, (10, 30, 50, 70, 90), direction="below")
-    fds = ps.estimate_gradient_fd(batch.draws[:, 0], curve.z, IDENTITY, batch, "below", steps=[1e-3, 1e-3])
+    fds = ps.estimate_gradient_fd(batch.draws[:, 0], curve.z, IDENTITY, batch, "below", rel_step=5e-3)
     for grad, fd in zip(curve.gradient, fds):
         for gj, fj in zip(grad, fd):
             if abs(gj) > 0.1:
@@ -79,8 +79,9 @@ def test_curve_bell_with_flat_top(batch):
 
 
 def test_curve_rejects_bad_percentiles(batch):
-    with pytest.raises(ps.ParameterDomainError):
-        ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [0.0, 50.0])
+    for percentiles in ([0.0, 50.0], [50.0, 100.0], [np.nan], [50.0, np.nan]):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.sensitivity_curve(batch.draws[:, 0], batch.scores, percentiles)
 
 
 def test_curve_rejects_scores_of_another_shape(batch):
@@ -125,7 +126,7 @@ def test_nonfinite_output_reports_draw_index():
         return out
 
     with pytest.raises(ps.EvaluationError, match="draw 5"):
-        ps.evaluate_outputs(bad_h, b.draws, chunk=64)
+        ps.evaluate_outputs(bad_h, b.draws)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,8 @@ def test_density_input_contracts(batch):
             ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth=bandwidth)
     with pytest.raises(ps.ContractError):
         ps.estimate_output_density(np.zeros((2000, 3)), np.zeros((2000, 2)))
+    with pytest.raises(ps.ContractError, match="scores"):  # one score column as a 1-D array
+        ps.estimate_output_density(batch.draws[:, 0], batch.scores[:, 0])
     with pytest.raises(ps.ContractError):  # fixed grid of the wrong dimension
         ps.estimate_output_density(
             batch.draws[:, 0], batch.scores, axes=(np.linspace(0, 2, 64), np.linspace(0, 2, 64))

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import probsens as ps
 import probsens.models.beam as beam_module
+from probsens import mclr
 from conftest import identity_stationarity, norm_sq_d2y, norm_sq_dy, pairwise_peak
 from probsens.cli import main
 from probsens.models import (
@@ -320,7 +321,7 @@ def test_beam_closed_form_fails_closed(beam, tmp_path, capsys):
     assert "frequency span" in capsys.readouterr().err
 
 
-def test_beam_ensemble_threaded_chunks_match_serial():
+def test_beam_ensemble_threaded_chunks_match_serial(monkeypatch):
     # evaluate_outputs runs h on a thread pool; work buffers must not be shared
     cfg = BeamConfig()
     rng = np.random.default_rng(2)
@@ -329,8 +330,9 @@ def test_beam_ensemble_threaded_chunks_match_serial():
     def h(x):
         return beam_rms_ensemble(x[:, 0], x[:, 1], cfg)
 
-    serial = ps.evaluate_outputs(h, draws, chunk=8, workers=1)
-    threaded = ps.evaluate_outputs(h, draws, chunk=8, workers=2)
+    monkeypatch.setattr(mclr, "CHUNK", 8)
+    serial = ps.evaluate_outputs(h, draws, workers=1)
+    threaded = ps.evaluate_outputs(h, draws, workers=2)
     assert np.array_equal(serial, threaded)
 
 

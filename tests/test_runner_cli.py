@@ -520,3 +520,12 @@ def test_exit_nonzero_on_bound_violation(monkeypatch):
     report, code = run(RunConfig(case="identity", **FAST))
     assert code == 1
     assert not report["all_bounds_satisfied"]
+    monkeypatch.undo()
+    # unpatched, a perturbation violation alone: at 2000 beam samples, seed 1,
+    # one F_y perturbation bound fails at a p_f resolution of 1/N
+    report, code = run(RunConfig(case="beam", n_samples=2000, seed=1))
+    assert all(row["norm_le_tr_fy"] for row in report["rows"])
+    assert report["info_processing"]["satisfied"]
+    assert any(p["violations_fx"] + p["violations_fy"] for p in report["perturbations"])
+    assert not report["all_bounds_satisfied"]
+    assert code == 1

@@ -19,7 +19,7 @@ from probsens import mclr, runner
 from probsens.mclr import _sort_order, _threshold_sums
 from probsens.runner import RunConfig, _auto_perturbations, _fd_check, build_case, run_case
 
-from conftest import stable_threshold_sums
+from conftest import stable_threshold_sums, weight_rows
 
 # Reordering N additions moves a sum by a few ulps of the sum of magnitudes.
 SUM_RTOL = 1e-12
@@ -149,7 +149,7 @@ def test_sweep_properties(sweep, direction, rnd):
     gvals, weights, zs = sweep
     n = gvals.size
     col_scale = np.abs(weights).sum(axis=0)
-    counts, sums = _threshold_sums(gvals, zs, direction, weights)
+    counts, sums = _threshold_sums(gvals, zs, direction, weight_rows(weights))
 
     # against the reference loop
     ref = [_reference_indicator(gvals, z, direction) for z in zs]
@@ -159,13 +159,13 @@ def test_sweep_properties(sweep, direction, rnd):
     # row order changes the counts not at all, the sums only by rounding
     perm = list(range(n))
     rnd.shuffle(perm)
-    counts_p, sums_p = _threshold_sums(gvals[perm], zs, direction, weights[perm])
+    counts_p, sums_p = _threshold_sums(gvals[perm], zs, direction, weight_rows(weights[perm]))
     assert np.array_equal(counts_p, counts)
     assert np.all(np.abs(sums_p - sums) <= SUM_RTOL * col_scale)
 
     # the two directions partition the rows
     other = "below" if direction == "above" else "above"
-    counts_o, sums_o = _threshold_sums(gvals, zs, other, weights)
+    counts_o, sums_o = _threshold_sums(gvals, zs, other, weight_rows(weights))
     assert np.all(counts + counts_o == n)
     assert np.all(np.abs((sums + sums_o) / n - weights.mean(axis=0)) <= SUM_RTOL * col_scale / n)
 
@@ -179,7 +179,7 @@ def test_one_threshold_call_matches_curve_row(sweep, direction, percentiles):
     curve = ps.sensitivity_curve(gvals, scores, percentiles, direction)
     weights = np.concatenate([scores, scores**2], axis=1)
     for z, p_f, grad in zip(curve.z, curve.p_f, curve.gradient):
-        counts, sums = _threshold_sums(gvals, [z], direction, weights)
+        counts, sums = _threshold_sums(gvals, [z], direction, weight_rows(weights))
         assert p_f == counts[0] / n
         assert np.array_equal(grad, sums[0, :2] / n)
 
@@ -194,7 +194,7 @@ def test_count_only_sweep_matches_sorted_counts(sweep, direction, rnd):
     counts, sums = _threshold_sums(gvals, zs, direction)
     assert sums is None and counts.dtype.kind == "i"
     assert np.array_equal(counts, _reference_sorted_counts(gvals, zs, direction))
-    assert np.array_equal(counts, _threshold_sums(gvals, zs, direction, weights)[0])
+    assert np.array_equal(counts, _threshold_sums(gvals, zs, direction, weight_rows(weights))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_threshold_sums_match_stable_gather(g, direction, seed):
     for w in (None, weights):
         ref_counts, ref_sums = stable_threshold_sums(g, zs, direction, w)
         for order in (None, _sort_order(g)):
-            counts, sums = _threshold_sums(g, zs, direction, w, order)
+            counts, sums = _threshold_sums(g, zs, direction, None if w is None else weight_rows(w), order)
             assert np.array_equal(counts, ref_counts)
             assert (sums is None) if w is None else np.array_equal(sums, ref_sums)
 
