@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .distributions import _integer
 from .errors import ContractError, ParameterDomainError, SupportError
 from .fisher import FisherMatrix
 from .mclr import SensitivityResult
@@ -96,6 +97,8 @@ def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> 
     (probabilities cannot change by more than 1); larger perturbations
     get one vacuous-bound warning per call.
     """
+    if np.shape(p_f_at_b) != np.shape(p_f_at_b_plus):
+        raise ContractError("p_f_at_b and p_f_at_b_plus must have the same shape")
     quad = fim.quad_form(db)
     if quad > 1.0:
         warnings.warn(
@@ -116,6 +119,8 @@ def titu(u, v) -> tuple[float, float, bool]:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ContractError("u and v must be 1-D of equal length")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ParameterDomainError("u and v entries must be finite")
     if np.any(v <= 0.0):
         raise ParameterDomainError("all v entries must be > 0")
     if np.any(u < 0.0):
@@ -305,6 +310,7 @@ def binomial_family(n_trials: int) -> DiscretePmfFamily:
     The closed form needs binomial coefficients that fit a float, which
     holds for n_trials <= 1000.
     """
+    n_trials = _integer("n_trials", n_trials)
     if not 0 <= n_trials <= 1000:
         raise ParameterDomainError(f"n_trials must be in [0, 1000], got {n_trials}")
 

@@ -76,12 +76,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             # the reduced-scale suite runs at 2e4 samples unless the file or --samples says otherwise
             cfg = _load_config(args, n_samples=20000)
-            if args.case or args.config:
-                # theorem/oracle suites always run; for discrete-oracle they
-                # are the whole job and no sampled case is needed
-                cases = () if cfg.case == "discrete-oracle" else (cfg.case,)
-            else:
-                cases = ("identity", "sho")
+            cases = (cfg.case,) if args.case or args.config else ("identity", "sho")
             return verify(cfg, cases=cases)
 
         cfg = _load_config(args)

@@ -18,11 +18,12 @@ weights used by every estimator in :mod:`probsens.mclr`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParameterDomainError, SupportError
+from .errors import ContractError, ParameterDomainError, ProbsensError, SupportError
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges, uniform_open
 from .special import ndtri
@@ -221,6 +222,17 @@ class ScoredSampleBatch:
 _INVERSION_CHUNK = 4 * CHUNK
 
 
+def _integer(name: str, value, error: type[ProbsensError] = ParameterDomainError) -> int:
+    """``value`` as an int.  A bool, which ``operator.index`` takes for 1 or 0
+    (JSON true and false load as bools), raises ``error``, as does a float."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
@@ -234,6 +246,7 @@ def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
     ``sample(shifted, n, seed)``, without drawing or inverting again.
     """
+    n, seed = _integer("sample count", n), _integer("seed", seed)
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
     if not 0 <= seed < 2**64:

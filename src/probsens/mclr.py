@@ -200,6 +200,8 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
         raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     gvals = _performance_values(gvals)
     zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 1:
+        raise ContractError(f"thresholds must be a 1-D list, got shape {zs.shape}")
     if weights is None and order is None:
         sorted_g = np.sort(gvals)
     else:
@@ -569,18 +571,18 @@ def estimate_output_density(
     return DensityGrid(axes=axes, density=sums[0], density_grad=sums[1:], bandwidth=bandwidth)
 
 
-def estimate_output_fim(dg: DensityGrid, floor: float = DENSITY_FLOOR) -> FisherMatrix:
+def estimate_output_fim(dg: DensityGrid) -> FisherMatrix:
     """Output Fisher information by floored trapezoidal quadrature.
 
-    F_jk = integral of (dp/db_j)(dp/db_k)/p over cells with p above the
-    floor.  A warning is attached when more than 5% of the grid mass sits
-    below the floor.  An infinite or NaN entry, as from a density that
+    F_jk = integral of (dp/db_j)(dp/db_k)/p over cells with p at or above
+    ``DENSITY_FLOOR * max(p)``.  A warning is attached when more than 5% of
+    the grid mass sits below that floor.  An infinite or NaN entry, as from a density that
     underflows on a grid far wider than the outputs, raises
     :class:`EvaluationError`: no bound can be judged against it.
     """
     w = dg.cell_weights()
     p = dg.density
-    mask = p >= floor * p.max()
+    mask = p >= DENSITY_FLOOR * p.max()
     excluded = float(np.sum(w * np.where(mask, 0.0, p)))
     total = float(np.sum(w * p))
     if total > 0 and excluded > 0.05 * total:
@@ -605,18 +607,19 @@ def estimate_output_fim(dg: DensityGrid, floor: float = DENSITY_FLOOR) -> Fisher
     return FisherMatrix(fim)
 
 
-def estimate_kl(dg_b: DensityGrid, dg_b_plus: DensityGrid, floor: float = DENSITY_FLOOR) -> float:
+def estimate_kl(dg_b: DensityGrid, dg_b_plus: DensityGrid) -> float:
     """Relative entropy KL[p(.|b) || p(.|b+db)] by grid quadrature.
 
     Both grids must be identical; cells where either density falls below
-    its floor are excluded (the tails there are estimator noise).
+    ``DENSITY_FLOOR`` times its maximum are excluded (the tails there are
+    estimator noise).
     """
     if not dg_b.same_grid(dg_b_plus):
         raise ContractError("relative entropy needs both densities on the same grid")
     w = dg_b.cell_weights()
     p = dg_b.density
     q = dg_b_plus.density
-    mask = (p >= floor * p.max()) & (q >= floor * q.max()) & (p > 0.0) & (q > 0.0)
+    mask = (p >= DENSITY_FLOOR * p.max()) & (q >= DENSITY_FLOOR * q.max()) & (p > 0.0) & (q > 0.0)
     ratio = np.where(mask, p / np.where(mask, q, 1.0), 1.0)
     kl = float(np.sum(np.where(mask, w * p * np.log(ratio), 0.0)))
     if kl < -1e-6:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
+from probsens import mclr
 from probsens.errors import ContractError
 from probsens.mclr import DensityGrid
 from probsens.rng import CHUNK, chunk_ranges, uniform_open
@@ -205,6 +206,8 @@ def exact_normal_kl_errors():
         dg0 = grid(mu, sigma)
         dg1 = grid(mu + db[0], sigma + db[1])
         # exact densities carry no estimator noise: disable the tail floor
-        errs_fwd.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg0, dg1, floor=0.0)))
-        errs_rev.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg1, dg0, floor=0.0)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mclr, "DENSITY_FLOOR", 0.0)
+            errs_fwd.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg0, dg1)))
+            errs_rev.append(ps.kl_quadratic_consistency(f, db, ps.estimate_kl(dg1, dg0)))
     return [(errs, float(np.polyfit(np.log(scales), np.log(errs), 1)[0])) for errs in (errs_fwd, errs_rev)]

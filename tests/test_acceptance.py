@@ -111,14 +111,15 @@ def test_criterion_6_kl_quadratic_consistency(identity_report, exact_normal_kl_e
 
 
 def test_criterion_7_theorem_suites():
-    suites = theorem_suites(np.random.default_rng(2024))
     oracle = run_case(RunConfig(case="discrete-oracle"))
-    ok = all(suites.values()) and oracle["instances"] == 192 and oracle["violations"] == 0
+    outcomes = theorem_suites(np.random.default_rng(2024)) + evaluate(oracle)
+    assert len(outcomes) == 4
+    ok = all(o.ok for o in outcomes) and oracle["instances"] == 192 and oracle["violations"] == 0
     _criterion(
         7,
-        "Titu/Pinsker randomized suites and exhaustive binomial oracle",
+        "score formulas, Titu/Pinsker randomized suites and exhaustive binomial oracle",
         ok,
-        f"{oracle['instances']} oracle instances, {oracle['violations']} violations",
+        f"{oracle['instances']} oracle instances, " + ", ".join(f"{o.name} {o.value:.3g}" for o in outcomes),
     )
 
 

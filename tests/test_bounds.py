@@ -52,6 +52,10 @@ def test_titu_input_validation():
         ps.titu([1.0], [0.0])
     with pytest.raises(ps.ContractError):
         ps.titu([1.0, 2.0], [1.0])
+    # bad input is refused, not read as a violation of the lemma
+    for u, v in (([1.0], [np.nan]), ([np.nan], [1.0]), ([np.inf], [1.0]), ([1.0], [np.inf])):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.titu(u, v)
 
 
 def test_pinsker_identity_and_direct_value():
@@ -163,6 +167,10 @@ def test_perturbation_bound_arrays_match_scalar_calls():
         warnings.simplefilter("always")
         ps.check_perturbation_bound(pb, pp, np.array([1.0, 0.0]), f)
     assert [str(w.message) for w in caught] == ["perturbation quadratic form 25 > 1: bound is vacuous"]
+    # arrays of different lengths are refused, not broadcast
+    for b, p in (([0.1, 0.2], [0.1]), (0.1, [0.1, 0.2]), (pb, pp[:-1])):
+        with pytest.raises(ps.ContractError):
+            ps.check_perturbation_bound(b, p, db, f)
 
 
 def test_bound_report_tolerance_rule():
@@ -237,6 +245,10 @@ def test_binomial_pmf_closed_form_and_domain():
         fam.pmf(np.array([1.0]))
     with pytest.raises(ps.ParameterDomainError):
         ps.binomial_family(1001)
+    # a fractional or boolean trial count is refused, not built with d = n + 1
+    for n_trials in (2.5, 9.0, True, "9"):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.binomial_family(n_trials)
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])

@@ -67,6 +67,10 @@ def test_sampling_is_deterministic():
     for seed in (-1, 2**64):
         with pytest.raises(ps.ParameterDomainError, match="seed"):
             ps.sample(m, 4, seed=seed)
+    # a fractional or boolean count or seed is refused, not truncated or read as 1
+    for n, seed in ((10, 1.5), (10.0, 1), (True, 1), (10, True)):
+        with pytest.raises(ps.ParameterDomainError, match="integer"):
+            ps.sample(m, n, seed)
 
 
 def test_sampling_is_chunk_schedule_independent(monkeypatch):

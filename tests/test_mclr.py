@@ -82,6 +82,11 @@ def test_curve_rejects_bad_percentiles(batch):
     for percentiles in ([0.0, 50.0], [50.0, 100.0], [np.nan], [50.0, np.nan]):
         with pytest.raises(ps.ParameterDomainError):
             ps.sensitivity_curve(batch.draws[:, 0], batch.scores, percentiles)
+    # a 2-D list of percentiles or thresholds is a contract error, not an IndexError
+    with pytest.raises(ps.ContractError, match="1-D"):
+        ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [[50.0]])
+    with pytest.raises(ps.ContractError, match="1-D"):
+        ps.estimate_gradient_fd(batch.draws[:, 0], [[1.0]], IDENTITY, batch, "below")
 
 
 def test_curve_rejects_scores_of_another_shape(batch):

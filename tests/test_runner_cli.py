@@ -282,7 +282,7 @@ def test_run_case_beam_fast():
 
 
 def test_verify_passes_and_mutation_fails(capsys, monkeypatch):
-    assert verify(n_samples=4000, cases=("identity",)) == 0
+    assert verify(RunConfig(n_samples=4000), cases=("identity",)) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
     # a corrupted score sign must trip the gradient/finite-difference check
@@ -293,9 +293,15 @@ def test_verify_passes_and_mutation_fails(capsys, monkeypatch):
         return dataclasses.replace(batch, scores=-batch.scores)
 
     monkeypatch.setattr(runner, "sample", negated)
-    assert verify(n_samples=4000, cases=("identity",)) == 1
+    assert verify(RunConfig(n_samples=4000), cases=("identity",)) == 1
     out = capsys.readouterr().out
     assert "[FAIL] identity: gradient vs finite differences" in out
+    # a theorem suite that reports a violation fails the suite too
+    monkeypatch.undo()
+    monkeypatch.setattr(criteria, "titu", lambda u, v: (1.0, 0.0, False))
+    assert verify(RunConfig(n_samples=4000), cases=("identity",)) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] Titu" in out
 
 
 def test_verify_samples_each_case_once(monkeypatch):
@@ -308,7 +314,7 @@ def test_verify_samples_each_case_once(monkeypatch):
         return real_sample(*args, **kwargs)
 
     monkeypatch.setattr(runner, "sample", spy)
-    assert verify(n_samples=4000, cases=("identity", "sho")) == 0
+    assert verify(RunConfig(n_samples=4000), cases=("identity", "sho")) == 0
     assert len(calls) == 2
 
 
@@ -381,6 +387,13 @@ def small_report():
     return report
 
 
+@pytest.fixture(scope="module")
+def oracle_report():
+    report = run_case(RunConfig(case="discrete-oracle"))
+    assert all(o.ok for o in criteria.evaluate(report))
+    return report
+
+
 # one edit per criterion that moves its measure, and no other, past the tolerance
 _BREAK = {
     "zero-mean scores": lambda r: r["_scores"].update(mean=[6.0 * se for se in r["_scores"]["std_err"]]),
@@ -393,12 +406,13 @@ _BREAK = {
     # the 1st-percentile row lies outside the p_f window; the median row is near the peak
     "peak norm^2 vs closed form": lambda r: r["rows"][0].update(grad_norm_sq=2.0 * r["rows"][49]["grad_norm_sq"]),
     "KL quadratic consistency": lambda r: r["kl_consistency"].update(rel_err_reverse_fx=2.0),
+    "discrete simplex oracle violations": lambda r: r.update(violations=1),
 }
 
 
 @pytest.mark.parametrize("criterion", criteria.CRITERIA, ids=lambda c: c.name)
-def test_every_criterion_can_fail(criterion, small_report):
-    report = copy.deepcopy(small_report)
+def test_every_criterion_can_fail(criterion, small_report, oracle_report):
+    report = copy.deepcopy({"identity": small_report, "discrete-oracle": oracle_report}[criterion.cases[0]])
     _BREAK[criterion.name](report)
     failed = [o.name for o in criteria.evaluate(report) if not o.ok]
     assert failed == [criterion.name]
