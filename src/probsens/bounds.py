@@ -99,12 +99,14 @@ def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> 
     """
     if np.shape(p_f_at_b) != np.shape(p_f_at_b_plus):
         raise ContractError("p_f_at_b and p_f_at_b_plus must have the same shape")
+    dp = np.asarray(p_f_at_b_plus, dtype=float) - np.asarray(p_f_at_b, dtype=float)
+    if not np.all(np.isfinite(dp)):
+        raise ParameterDomainError("failure probabilities must be finite")
     quad = fim.quad_form(db)
     if quad > 1.0:
         warnings.warn(
             f"perturbation quadratic form {quad:.3g} > 1: bound is vacuous", RuntimeWarning
         )
-    dp = np.asarray(p_f_at_b_plus, dtype=float) - np.asarray(p_f_at_b, dtype=float)
     return BoundReport.of(
         "dPf_sq<=quad_form",
         dp * dp,
@@ -134,6 +136,8 @@ def discrete_kl(p, q) -> float:
     """KL divergence of two PMFs on a shared support."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ContractError("P and Q must share a support")
     active = p > 0.0
     if np.any(q[active] <= 0.0):
         raise SupportError("Q must be strictly positive wherever P is")
@@ -142,6 +146,8 @@ def discrete_kl(p, q) -> float:
 
 def _require_pmf(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ParameterDomainError(f"{name} entries must be finite")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
         raise ContractError(f"{name} is not a probability vector (sum {p.sum()!r})")
     return np.clip(p, 0.0, None)
@@ -156,10 +162,8 @@ def pinsker_check(p, q) -> BoundReport:
     """
     p = _require_pmf(p, "P")
     q = _require_pmf(q, "Q")
-    if p.shape != q.shape:
-        raise ContractError("P and Q must share a support")
-    l1 = float(np.abs(p - q).sum())
     kl = discrete_kl(p, q)
+    l1 = float(np.abs(p - q).sum())
     tv = 0.5 * l1
     return BoundReport.of(
         "l1_sq<=2kl",
@@ -356,6 +360,8 @@ def kl_quadratic_consistency(fim: FisherMatrix, db, kl_direct: float) -> float:
     |kl - 0.5 db^T F db| / (0.5 db^T F db).  The expansion has an O(|db|)
     remainder, so halving the perturbation should roughly halve the error.
     """
+    if not math.isfinite(kl_direct):
+        raise ParameterDomainError(f"measured KL must be finite, got {kl_direct}")
     half_quad = 0.5 * fim.quad_form(db)
     if half_quad <= 0.0:
         raise ContractError("quadratic form must be positive for a relative error")

@@ -23,6 +23,8 @@ class FisherMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"information matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ParameterDomainError("information matrix entries must be finite")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-10 * scale:
             raise ContractError("information matrix is not symmetric")

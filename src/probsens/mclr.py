@@ -202,6 +202,8 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 1:
         raise ContractError(f"thresholds must be a 1-D list, got shape {zs.shape}")
+    if not np.all(np.isfinite(zs)):
+        raise ParameterDomainError("thresholds must be finite")
     if weights is None and order is None:
         sorted_g = np.sort(gvals)
     else:

@@ -54,22 +54,11 @@ from .models.beam import BeamConfig
 
 CASES = ("identity", "sho", "beam", "discrete-oracle")
 
-_BEAM_KEYS = (
-    "length",
-    "second_moment",
-    "section_area",
-    "modal_damping",
-    "excitation_frac",
-    "force_psd",
-    "n_modes",
-    "n_response",
-    "n_freq",
-    "omega_lo",
-    "omega_hi",
-)
 _ORACLE_DEFAULTS = {"n_trials": 5, "thetas": (0.2, 0.5, 0.8), "dtheta": 1e-3}
 # every one of the 2^(n_trials + 1) failure sets is enumerated at once
 _MAX_ORACLE_TRIALS = 16
+# relative step of the likelihood-ratio finite differences that check the gradients
+_FD_REL_STEP = 1e-2
 
 
 def _integer(name: str, value) -> int:
@@ -89,9 +78,8 @@ def _list(name: str, values, item=_real) -> list:
     return [item(name, v) for v in values]
 
 
-# how each beam and oracle override is converted
-_OVERRIDES = {k: _integer if k.startswith("n_") else _real for k in _BEAM_KEYS}
-_OVERRIDES.update(n_trials=_integer, thetas=_list, dtheta=_real)
+# how each oracle override is converted
+_ORACLE_KEYS = {"n_trials": _integer, "thetas": _list, "dtheta": _real}
 
 
 @dataclass
@@ -105,8 +93,6 @@ class RunConfig:
     perturbation_scale: float = 0.01
     perturbations: list | None = None
     bandwidth: list | None = None
-    fd_rel_step: float = 1e-2
-    beam: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
     out_dir: str | None = None
     workers: int = 1
@@ -118,8 +104,7 @@ class RunConfig:
             self.n_samples = 20000 if self.case == "beam" else 100000
         for name in ("n_samples", "workers", "seed"):
             setattr(self, name, _integer(name, getattr(self, name)))
-        for name in ("perturbation_scale", "fd_rel_step"):
-            setattr(self, name, _real(name, getattr(self, name)))
+        self.perturbation_scale = _real("perturbation_scale", self.perturbation_scale)
         self.percentiles = _list("percentiles", self.percentiles)
         if self.bandwidth is not None:
             self.bandwidth = _list("bandwidth", self.bandwidth)
@@ -133,22 +118,18 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not 0.0 < self.perturbation_scale:
             raise ConfigError("perturbation_scale must be positive")
-        if not 0.0 < self.fd_rel_step < 0.1:
-            raise ConfigError("fd_rel_step must be in (0, 0.1)")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.percentiles:
             raise ConfigError("percentiles must not be empty")
         if any(not 0.0 < p < 100.0 for p in self.percentiles):
             raise ConfigError("percentiles must lie strictly inside (0, 100)")
-        for name, keys in (("beam", _BEAM_KEYS), ("oracle", tuple(_ORACLE_DEFAULTS))):
-            overrides = getattr(self, name)
-            if not isinstance(overrides, dict):
-                raise ConfigError(f"{name} must be an object, got {overrides!r}")
-            unknown = set(overrides) - set(keys)
-            if unknown:
-                raise ConfigError(f"unknown {name} keys {sorted(unknown)}; allowed {keys}")
-            setattr(self, name, {k: _OVERRIDES[k](f"{name}.{k}", v) for k, v in overrides.items()})
+        if not isinstance(self.oracle, dict):
+            raise ConfigError(f"oracle must be an object, got {self.oracle!r}")
+        unknown = set(self.oracle) - set(_ORACLE_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown oracle keys {sorted(unknown)}; allowed {tuple(_ORACLE_KEYS)}")
+        self.oracle = {k: _ORACLE_KEYS[k](f"oracle.{k}", v) for k, v in self.oracle.items()}
         oracle = {**_ORACLE_DEFAULTS, **self.oracle}
         if not 0 <= oracle["n_trials"] <= _MAX_ORACLE_TRIALS:
             raise ConfigError(f"oracle.n_trials must be in [0, {_MAX_ORACLE_TRIALS}], got {oracle['n_trials']}")
@@ -179,17 +160,6 @@ class RunConfig:
         d.pop("out_dir")
         d.pop("workers")
         return d
-
-
-def _beam_config(overrides: dict) -> BeamConfig:
-    kw = dict(overrides)
-    lo = kw.pop("omega_lo", None)
-    hi = kw.pop("omega_hi", None)
-    if (lo is None) != (hi is None):
-        raise ConfigError("omega_lo and omega_hi must be overridden together")
-    if lo is not None:
-        kw["omega_span"] = (float(lo), float(hi))
-    return BeamConfig(**kw)
 
 
 @dataclass
@@ -226,7 +196,7 @@ def build_case(config: RunConfig) -> CaseStudy:
             direction="below",
         )
     if config.case == "beam":
-        beam_cfg = _beam_config(config.beam)
+        beam_cfg = BeamConfig()
         return CaseStudy(
             name="beam",
             model=InputModel((beam_cfg.e_spec, beam_cfg.rho_spec)),
@@ -317,7 +287,7 @@ def run_case(config: RunConfig) -> dict:
     info_rep = info_processing_check(f_y, f_x)
 
     # gradient vs likelihood-ratio finite differences at every threshold
-    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, config.fd_rel_step, order)
+    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, _FD_REL_STEP, order)
     del order
 
     # perturbation bound on paired runs: each shifted model maps the base

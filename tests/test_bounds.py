@@ -82,6 +82,13 @@ def test_pinsker_randomized_property():
 def test_pinsker_support_violation():
     with pytest.raises(ps.SupportError):
         ps.pinsker_check([0.5, 0.5], [1.0, 0.0])
+    # a NaN probability is bad input, not a violated bound
+    with pytest.raises(ps.ParameterDomainError):
+        ps.pinsker_check([0.5, 0.5], [np.nan, np.nan])
+    # PMFs on supports of different sizes are refused, not an IndexError
+    for call in (ps.pinsker_check, ps.discrete_kl):
+        with pytest.raises(ps.ContractError, match="support"):
+            call([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 def test_sensitivity_bound_reports():
@@ -171,6 +178,10 @@ def test_perturbation_bound_arrays_match_scalar_calls():
     for b, p in (([0.1, 0.2], [0.1]), (0.1, [0.1, 0.2]), (pb, pp[:-1])):
         with pytest.raises(ps.ContractError):
             ps.check_perturbation_bound(b, p, db, f)
+    # a failure probability that is not finite is bad input, not a violated bound
+    for b, p in ((0.1, np.nan), (np.inf, 0.1), (pb, np.where(np.arange(pb.size) == 3, np.nan, pp))):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.check_perturbation_bound(b, p, db, f)
 
 
 def test_bound_report_tolerance_rule():
@@ -187,6 +198,9 @@ def test_fisher_matrix_validation():
         ps.FisherMatrix(np.array([[1.0, 0.0], [0.0, -0.5]]))  # negative eigenvalue
     with pytest.raises(ps.ContractError):
         ps.FisherMatrix(np.ones((2, 3)))  # not square
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.FisherMatrix(np.array([[bad]]))
     f = ps.FisherMatrix(np.diag([2.0, 3.0]))
     assert f.quad_form([1.0, 1.0]) == pytest.approx(5.0)
     with pytest.raises(ps.ContractError):
@@ -352,6 +366,10 @@ def test_kl_quadratic_consistency_exact_gaussians():
     for delta in (0.1, 0.05, 0.025):
         kl_exact = delta**2 / 2.0  # both orderings for a pure mean shift
         assert ps.kl_quadratic_consistency(f, np.array([delta]), kl_exact) == pytest.approx(0.0, abs=1e-12)
+    # a measured KL that is not finite has no relative error
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ps.ParameterDomainError):
+            ps.kl_quadratic_consistency(f, np.array([0.1]), bad)
 
 
 def test_kl_error_halves_with_perturbation(exact_normal_kl_errors):

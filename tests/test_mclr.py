@@ -87,6 +87,10 @@ def test_curve_rejects_bad_percentiles(batch):
         ps.sensitivity_curve(batch.draws[:, 0], batch.scores, [[50.0]])
     with pytest.raises(ps.ContractError, match="1-D"):
         ps.estimate_gradient_fd(batch.draws[:, 0], [[1.0]], IDENTITY, batch, "below")
+    # a threshold that is not finite has no failure set
+    for z in (np.nan, np.inf):
+        with pytest.raises(ps.ParameterDomainError, match="thresholds"):
+            ps.estimate_gradient_fd(batch.draws[:, 0], [z], IDENTITY, batch, "below")
 
 
 def test_curve_rejects_scores_of_another_shape(batch):

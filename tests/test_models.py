@@ -304,21 +304,25 @@ def test_beam_default_rounding_bound_below_1e_14():
 
 
 @pytest.mark.parametrize(
-    "beam",[{"modal_damping": 1.0}, {"omega_lo": 2000.0, "omega_hi": 4000.0}], ids=["zeta-1", "off-resonance"]
+    "cfg", [BeamConfig(modal_damping=1.0), BeamConfig(omega_span=(2000.0, 4000.0))], ids=["zeta-1", "off-resonance"]
 )
-def test_beam_closed_form_fails_closed(beam, tmp_path, capsys):
+def test_beam_closed_form_fails_closed(cfg):
     # a double pole (zeta = 1) or a span far above every mode cancels the
-    # partial fractions: the library raises and the CLI exits 2
-    cfg = build_case(RunConfig(case="beam", beam=beam))
+    # partial fractions: the library raises
     e, rho = _lognormal_rows(_DOMAIN_ROWS)
     with pytest.raises(ps.EvaluationError, match="frequency span"):
-        cfg.h(np.column_stack([e, rho]))
+        beam_rms_ensemble(e, rho, cfg)
+
+
+def test_beam_model_is_fixed_in_the_cli(tmp_path, capsys):
+    # the runner's beam is BeamConfig(); a config file cannot override it
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"beam": beam}))
+    cfg_path.write_text(json.dumps({"beam": {"modal_damping": 1.0}}))
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg_path), "--case", "beam", "--samples", "1000"])
     assert exc.value.code == 2
-    assert "frequency span" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "unknown config keys ['beam']" in err
 
 
 def test_beam_ensemble_threaded_chunks_match_serial(monkeypatch):
@@ -429,6 +433,10 @@ def test_beam_performance_ensemble_range():
 def test_beam_config_validation():
     with pytest.raises(ps.ConfigError):
         BeamConfig(length=-1.0)
+    # a natural frequency that overflows or underflows
+    for length in (1e100, 1e-100):
+        with pytest.raises(ps.ConfigError, match="no finite positive natural frequency"):
+            BeamConfig(length=length)
     with pytest.raises(ps.ConfigError):
         BeamConfig(excitation_frac=1.5)
     with pytest.raises(ps.ConfigError):

@@ -24,8 +24,29 @@ FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
 def test_config_rejects_unknown_keys():
     with pytest.raises(ps.ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"case": "identity", "samples": 10})
-    with pytest.raises(ps.ConfigError, match="unknown beam keys"):
-        RunConfig(case="beam", beam={"lenght": 2.0})
+    with pytest.raises(ps.ConfigError, match="unknown oracle keys"):
+        RunConfig(case="discrete-oracle", oracle={"n_trails": 3})
+    # each case study's model is fixed: no beam overrides, no FD step
+    for key, value in (("beam", {"length": 2.0}), ("fd_rel_step", 1e-2)):
+        with pytest.raises(ps.ConfigError, match=f"unknown config keys \\['{key}'\\]"):
+            RunConfig.from_dict({"case": "beam", key: value})
+
+
+def test_config_has_twelve_settable_values():
+    # nine fields set directly, and the oracle's three keys
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "case",
+        "n_samples",
+        "seed",
+        "percentiles",
+        "perturbation_scale",
+        "perturbations",
+        "bandwidth",
+        "oracle",
+        "out_dir",
+        "workers",
+    ]
+    assert list(runner._ORACLE_DEFAULTS) == list(runner._ORACLE_KEYS) == ["n_trials", "thetas", "dtheta"]
 
 
 def test_config_validation():
@@ -45,7 +66,6 @@ def test_config_validation():
     # every numeric field is converted once; a string is never a number or a list
     for key, bad in (
         ("perturbation_scale", "0.1"),
-        ("fd_rel_step", "x"),
         ("percentiles", "57"),
         ("percentiles", ["abc"]),
         ("bandwidth", "ab"),
@@ -63,9 +83,7 @@ def test_config_validation():
         ("oracle", {"thetas": [0.0]}),
         ("oracle", {"thetas": [0.5, 1.0]}),
         ("oracle", {"dtheta": 0.0}),
-        ("beam", {"length": "x"}),
-        ("beam", {"n_freq": 100.5}),
-        ("beam", ["length"]),
+        ("oracle", ["n_trials"]),
     ):
         with pytest.raises(ps.ConfigError, match=key):
             RunConfig(case="identity", **{key: bad})
@@ -473,9 +491,8 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         {"case": "discrete-oracle", "oracle": {"thetas": []}},
         {"case": "discrete-oracle", "oracle": {"thetas": [0.0]}},
         {"case": "discrete-oracle", "oracle": {"dtheta": 0}},
-        # a natural frequency that overflows or underflows
-        {"case": "beam", "beam": {"length": 1e100}},
-        {"case": "beam", "beam": {"length": 1e-100}},
+        # the gradient check's finite-difference step is fixed
+        {"fd_rel_step": 1e-2},
         # an output Fisher information or a quadratic form that is infinite or NaN
         {"n_samples": 2000, "bandwidth": [1e300]},
         {"n_samples": 2000, "perturbations": [[1e308, 0]]},
