@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import _integer
-from .errors import ContractError, ParameterDomainError, SupportError
+from .errors import ContractError, ParameterDomainError, SupportError, as_floats
 from .fisher import FisherMatrix
 from .mclr import SensitivityResult
 
@@ -99,7 +99,7 @@ def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> 
     """
     if np.shape(p_f_at_b) != np.shape(p_f_at_b_plus):
         raise ContractError("p_f_at_b and p_f_at_b_plus must have the same shape")
-    dp = np.asarray(p_f_at_b_plus, dtype=float) - np.asarray(p_f_at_b, dtype=float)
+    dp = as_floats("p_f_at_b_plus", p_f_at_b_plus) - as_floats("p_f_at_b", p_f_at_b)
     if not np.all(np.isfinite(dp)):
         raise ParameterDomainError("failure probabilities must be finite")
     quad = fim.quad_form(db)
@@ -117,10 +117,9 @@ def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> 
 
 def titu(u, v) -> tuple[float, float, bool]:
     """Sedrakyan/Titu inequality (sum u)^2 / sum v <= sum u^2/v for v > 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ContractError("u and v must be 1-D of equal length")
+    u, v = as_floats("u", u), as_floats("v", v)
+    if u.shape != v.shape or u.ndim != 1 or u.size == 0:
+        raise ContractError("u and v must be non-empty, 1-D and of equal length")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ParameterDomainError("u and v entries must be finite")
     if np.any(v <= 0.0):
@@ -134,10 +133,12 @@ def titu(u, v) -> tuple[float, float, bool]:
 
 def discrete_kl(p, q) -> float:
     """KL divergence of two PMFs on a shared support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = as_floats("P", p), as_floats("Q", q)
     if p.shape != q.shape:
         raise ContractError("P and Q must share a support")
+    # a NaN entry would drop out of the active set below
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ParameterDomainError("P and Q entries must be finite")
     active = p > 0.0
     if np.any(q[active] <= 0.0):
         raise SupportError("Q must be strictly positive wherever P is")
@@ -145,7 +146,7 @@ def discrete_kl(p, q) -> float:
 
 
 def _require_pmf(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = as_floats(name, p)
     if not np.all(np.isfinite(p)):
         raise ParameterDomainError(f"{name} entries must be finite")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
@@ -257,8 +258,9 @@ def discrete_simplex_oracle(fam: DiscretePmfFamily, b, db, failure_sets) -> Simp
     the quadratic form, not the quadratic form itself; both values are
     reported so the discrepancy in the geometric derivation stays visible.
     """
-    b = np.asarray(b, dtype=float)
-    db = np.asarray(db, dtype=float)
+    b, db = as_floats("b", b), as_floats("db", db)
+    if b.ndim != 1 or db.shape != b.shape:
+        raise ContractError(f"b must be a parameter vector and db have the shape of b, got {b.shape} and {db.shape}")
     p = fam.probs(b)
     q = fam.probs(b + db)
 
@@ -318,16 +320,22 @@ def binomial_family(n_trials: int) -> DiscretePmfFamily:
     if not 0 <= n_trials <= 1000:
         raise ParameterDomainError(f"n_trials must be in [0, 1000], got {n_trials}")
 
-    def pmf(b):
-        theta = float(np.atleast_1d(b)[0])
+    def theta_of(b) -> float:
+        b = np.atleast_1d(as_floats("b", b))
+        if b.shape != (1,):
+            raise ContractError(f"the binomial family has one parameter, got shape {b.shape}")
+        theta = float(b[0])
         if not 0.0 < theta < 1.0:
             raise ParameterDomainError("theta must be in (0, 1)")
-        return _binomial_pmf(n_trials, theta)
+        return theta
+
+    def pmf(b):
+        return _binomial_pmf(n_trials, theta_of(b))
 
     def dpdb(b):
-        theta = float(np.atleast_1d(b)[0])
+        theta = theta_of(b)
         k = np.arange(n_trials + 1)
-        return (pmf(b) * (k - n_trials * theta) / (theta * (1.0 - theta)))[:, None]
+        return (_binomial_pmf(n_trials, theta) * (k - n_trials * theta) / (theta * (1.0 - theta)))[:, None]
 
     return DiscretePmfFamily(d=n_trials + 1, pmf=pmf, dpdb=dpdb)
 
@@ -360,9 +368,12 @@ def kl_quadratic_consistency(fim: FisherMatrix, db, kl_direct: float) -> float:
     |kl - 0.5 db^T F db| / (0.5 db^T F db).  The expansion has an O(|db|)
     remainder, so halving the perturbation should roughly halve the error.
     """
-    if not math.isfinite(kl_direct):
+    kl = as_floats("measured KL", kl_direct)
+    if kl.ndim != 0:
+        raise ContractError(f"measured KL must be one number, got shape {kl.shape}")
+    if not math.isfinite(kl):
         raise ParameterDomainError(f"measured KL must be finite, got {kl_direct}")
     half_quad = 0.5 * fim.quad_form(db)
     if half_quad <= 0.0:
         raise ContractError("quadratic form must be positive for a relative error")
-    return abs(kl_direct - half_quad) / half_quad
+    return abs(float(kl) - half_quad) / half_quad

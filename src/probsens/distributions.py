@@ -18,12 +18,13 @@ weights used by every estimator in :mod:`probsens.mclr`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParameterDomainError, ProbsensError, SupportError
+from .errors import ContractError, ParameterDomainError, ProbsensError, SupportError, as_floats
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges, uniform_open
 from .special import ndtri
@@ -44,8 +45,8 @@ class MarginalSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ParameterDomainError("mu and sigma must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.mu, self.sigma)):
+            raise ParameterDomainError(f"mu and sigma must be finite numbers, got {self.mu!r}, {self.sigma!r}")
         if self.sigma <= 0.0:
             raise ParameterDomainError(f"sigma must be > 0, got {self.sigma}")
 
@@ -70,7 +71,7 @@ class MarginalSpec:
         return self.from_standard(ndtri(u))
 
     def logpdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = as_floats("x", x)
         self._require_support(x)
         if self.family == "lognormal":
             t = np.log(x)
@@ -83,7 +84,7 @@ class MarginalSpec:
 
     def score(self, x) -> np.ndarray:
         """Score vector (d lnp/d mu, d lnp/d sigma), shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
+        x = as_floats("x", x)
         self._require_support(x)
         t = np.log(x) if self.family == "lognormal" else x
         dev = t - self.mu
@@ -137,7 +138,7 @@ class InputModel:
 
     def shifted(self, db) -> "InputModel":
         """New model with parameters moved by db (ordered as param_names)."""
-        db = np.asarray(db, dtype=float)
+        db = as_floats("perturbation", db)
         if db.shape != (self.n_params,):
             raise ContractError(f"expected perturbation of length {self.n_params}, got {db.shape}")
         out = []
@@ -146,7 +147,7 @@ class InputModel:
         return InputModel(tuple(out))
 
     def _require_draws(self, draws: np.ndarray) -> np.ndarray:
-        draws = np.asarray(draws, dtype=float)
+        draws = as_floats("draws", draws)
         if draws.ndim != 2 or draws.shape[1] != self.n_inputs:
             raise ContractError(
                 f"draws must have shape (N, {self.n_inputs}), got {draws.shape}"

@@ -1,4 +1,7 @@
-"""Semantic exception types shared across the package."""
+"""Semantic exception types shared across the package, and the float
+conversion of public arguments that raises them."""
+
+import numpy as np
 
 
 class ProbsensError(Exception):
@@ -23,3 +26,12 @@ class ConfigError(ProbsensError, ValueError):
 
 class EvaluationError(ProbsensError, RuntimeError):
     """A forward model produced an invalid value for a specific draw."""
+
+
+def as_floats(name: str, value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; a value numpy cannot read as floats
+    (a string, a ragged list, a dict) raises :class:`ContractError`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{name} must be numbers, got {value!r}") from exc

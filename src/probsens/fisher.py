@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParameterDomainError
+from .errors import ContractError, ParameterDomainError, as_floats
 
 # Eigenvalues may dip slightly below zero from floating-point noise; anything
 # worse than -1e-8 * trace indicates a real construction bug.
@@ -20,7 +20,7 @@ class FisherMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = as_floats("information matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"information matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -49,7 +49,7 @@ class FisherMatrix:
     def quad_form(self, db) -> float:
         """Quadratic form db^T F db; a perturbation that makes it infinite or
         NaN raises, since no bound can be judged against it."""
-        db = np.asarray(db, dtype=float)
+        db = as_floats("perturbation", db)
         if db.shape != (self.n,):
             raise ContractError(f"expected perturbation of length {self.n}, got {db.shape}")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -41,15 +41,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import InputModel, ScoredSampleBatch
-from .errors import ContractError, EvaluationError, ParameterDomainError
+from .distributions import InputModel, ScoredSampleBatch, _integer
+from .errors import ContractError, EvaluationError, ParameterDomainError, as_floats
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges
 
@@ -99,7 +98,15 @@ def evaluate_outputs(
 
     The chunk partition is constant, so worker count never changes the
     result.  Non-finite outputs are reported with the offending draw index.
+    ``draws`` is an (N, inputs) matrix with N >= 1, and ``workers`` a
+    thread count >= 1.
     """
+    draws = as_floats("draws", draws)
+    if draws.ndim != 2 or draws.shape[0] == 0:
+        raise ContractError(f"draws must be an (N, inputs) matrix with N >= 1, got shape {draws.shape}")
+    workers = _integer("workers", workers)
+    if workers < 1:
+        raise ParameterDomainError(f"workers must be >= 1, got {workers}")
     ranges = chunk_ranges(draws.shape[0], CHUNK)
 
     def one(rng):
@@ -111,6 +118,9 @@ def evaluate_outputs(
         return out
 
     if workers > 1 and len(ranges) > 1:
+        # imported here: a run with one worker or one chunk starts no thread
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, ranges))
     else:
@@ -125,9 +135,9 @@ def evaluate_outputs(
 
 def _performance_values(gvals) -> np.ndarray:
     """The performance values as a float vector; a non-finite one raises."""
-    gvals = np.asarray(gvals, dtype=float)
-    if gvals.ndim != 1:
-        raise ContractError("performance function must reduce outputs to one scalar per row")
+    gvals = as_floats("performance values", gvals)
+    if gvals.ndim != 1 or gvals.size == 0:
+        raise ContractError(f"performance values must be one scalar per row, one row at least; got shape {gvals.shape}")
     bad = ~np.isfinite(gvals)
     if np.any(bad):
         raise EvaluationError(f"performance value is not finite at row {int(np.flatnonzero(bad)[0])}")
@@ -199,7 +209,7 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     if direction not in _DIRECTIONS:
         raise ParameterDomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     gvals = _performance_values(gvals)
-    zs = np.asarray(zs, dtype=float)
+    zs = as_floats("thresholds", zs)
     if zs.ndim != 1:
         raise ContractError(f"thresholds must be a 1-D list, got shape {zs.shape}")
     if not np.all(np.isfinite(zs)):
@@ -293,11 +303,11 @@ def sensitivity_curve(
     two moments.  ``_order`` is the stable argsort of ``gvals``
     (:func:`_sort_order`) when the caller holds it.
     """
-    percentiles = np.asarray(percentiles, dtype=float)
+    percentiles = as_floats("percentiles", percentiles)
     if not np.all((percentiles > 0.0) & (percentiles < 100.0)):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
     gvals = _performance_values(gvals)
-    scores = np.asarray(scores, dtype=float)
+    scores = as_floats("scores", scores)
     if scores.ndim != 2 or scores.shape[0] != gvals.size:
         raise ContractError("scores must be an (N, n) matrix with one row per performance value")
     if gvals.max() == gvals.min():
@@ -513,15 +523,17 @@ def estimate_output_density(
         perturbed density on the grid of its base case (default: 512
         points for k=1, 256 per axis for k=2)
     """
-    outputs = np.asarray(outputs, dtype=float)
+    outputs = as_floats("outputs", outputs)
     if outputs.ndim == 1:
         outputs = outputs[:, None]
+    if outputs.ndim != 2:
+        raise ContractError(f"outputs must be an (N,) or (N, k) array, got shape {outputs.shape}")
     n, k = outputs.shape
     if k not in (1, 2):
         raise ContractError(f"density grids support 1 or 2 output dimensions, got {k}")
     if n < 1000:
         raise ContractError(f"need at least 1000 samples for a stable density, got {n}")
-    scores = np.asarray(scores, dtype=float)
+    scores = as_floats("scores", scores)
     if scores.ndim != 2 or scores.shape[0] != n:
         raise ContractError("scores must be an (N, n) matrix with one row per output row")
     bad = ~np.all(np.isfinite(outputs), axis=1)
@@ -530,7 +542,7 @@ def estimate_output_density(
 
     if bandwidth is None:
         bandwidth = kde_bandwidth(outputs)
-    bandwidth = np.asarray(bandwidth, dtype=float)
+    bandwidth = as_floats("bandwidth", bandwidth)
     if bandwidth.ndim > 1 or bandwidth.size not in (1, k):
         raise ContractError(f"bandwidth needs one width or one per output dimension ({k}), got {bandwidth.shape}")
     bandwidth = np.broadcast_to(bandwidth, (k,)).copy()
@@ -540,7 +552,7 @@ def estimate_output_density(
     if axes is None:
         axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])
     else:
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        axes = tuple(as_floats("axes", a) for a in axes)
         if len(axes) != k:
             raise ContractError("fixed grid dimension does not match outputs")
         for a in axes:

@@ -8,9 +8,14 @@ are paired with the base run on common random numbers: each shifted
 model maps the base batch's standard normals to its own draws, bit for bit
 the draws a fresh :func:`~probsens.distributions.sample` of it would give,
 and no shifted batch is scored: the KL block reads one batch's density
-alone.  Results go to ``curve.csv``, ``density.csv`` and ``report.json``;
-numbers are written in shortest round-trip decimal form so identical
-configurations produce byte-identical files under any worker count.  Both CSV files go through one writer that
+alone.  Each N-length array of the base run is released after its last
+reader: the draws, the performance values and their sort order after the
+threshold sweep and the finite-difference check, which run back to back;
+the outputs and the scores after the base density.  The perturbation loop
+reads the standard normals alone.  Results go to ``curve.csv``,
+``density.csv`` and ``report.json``; numbers are written in shortest
+round-trip decimal form so identical configurations produce byte-identical
+files under any worker count.  Both CSV files go through one writer that
 formats and writes their rows block by block, so its memory does not grow
 with the density grid; the bytes are those of formatting every row at once.
 """
@@ -261,9 +266,16 @@ def run_case(config: RunConfig) -> dict:
     # threshold sweep; one stable order of g (_sort_order) serves the curve and the FD check
     order = _sort_order(gvals)
     curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction, _order=order)
+    # gradient vs likelihood-ratio finite differences at every threshold
+    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, _FD_REL_STEP, order)
+    # the density reads the scores and the perturbation loop the normals;
+    # nothing else of the batch is read again
+    scores, normals = batch.scores, batch.normals
+    del batch, gvals, order
 
     # output density, output/input information
-    dg = estimate_output_density(y, batch.scores, bandwidth=config.bandwidth)
+    dg = estimate_output_density(y, scores, bandwidth=config.bandwidth)
+    del y, scores
     f_y = estimate_output_fim(dg)
     f_x = model.fim()
 
@@ -286,17 +298,13 @@ def run_case(config: RunConfig) -> dict:
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     info_rep = info_processing_check(f_y, f_x)
 
-    # gradient vs likelihood-ratio finite differences at every threshold
-    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, _FD_REL_STEP, order)
-    del order
-
     # perturbation bound on paired runs: each shifted model maps the base
     # batch's standard normals, so the pairs share their random numbers
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
     for db, shifted, (quad_fx, quad_fy) in zip(dbs, shifted_models, quads):
-        draws_p = shifted.from_standard(batch.normals)
+        draws_p = shifted.from_standard(normals)
         y_p = evaluate_outputs(case.h, draws_p, workers=config.workers)
         y_p /= scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n

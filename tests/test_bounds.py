@@ -52,6 +52,8 @@ def test_titu_input_validation():
         ps.titu([1.0], [0.0])
     with pytest.raises(ps.ContractError):
         ps.titu([1.0, 2.0], [1.0])
+    with pytest.raises(ps.ContractError, match="non-empty"):
+        ps.titu([], [])
     # bad input is refused, not read as a violation of the lemma
     for u, v in (([1.0], [np.nan]), ([np.nan], [1.0]), ([np.inf], [1.0]), ([1.0], [np.inf])):
         with pytest.raises(ps.ParameterDomainError):
@@ -89,6 +91,9 @@ def test_pinsker_support_violation():
     for call in (ps.pinsker_check, ps.discrete_kl):
         with pytest.raises(ps.ContractError, match="support"):
             call([0.5, 0.5], [0.2, 0.3, 0.5])
+    # a NaN entry is refused, not dropped from the support as inactive
+    with pytest.raises(ps.ParameterDomainError, match="finite"):
+        ps.discrete_kl([np.nan, 1.0], [0.5, 0.5])
 
 
 def test_sensitivity_bound_reports():
@@ -201,6 +206,8 @@ def test_fisher_matrix_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ps.ParameterDomainError):
             ps.FisherMatrix(np.array([[bad]]))
+    with pytest.raises(ps.ContractError, match="numbers"):
+        ps.FisherMatrix("x")
     f = ps.FisherMatrix(np.diag([2.0, 3.0]))
     assert f.quad_form([1.0, 1.0]) == pytest.approx(5.0)
     with pytest.raises(ps.ContractError):
@@ -238,6 +245,10 @@ def test_oracle_rejects_malformed_failure_sets():
     for bad in ([0, 1, 1], [[0, 1]], [[0, 2, 1]], [[0.5, 0, 0]]):
         with pytest.raises(ps.ContractError, match="failure sets"):
             ps.discrete_simplex_oracle(fam, [0.5], [1e-3], bad)
+    # db has the shape of b, not one step per cell, and b is a vector
+    for b, db in (([0.5], [1e-3, 1e-3]), (0.5, 1e-3)):
+        with pytest.raises(ps.ContractError, match="shape of b"):
+            ps.discrete_simplex_oracle(fam, b, db, [[1, 0, 1]])
 
 
 def test_oracle_fd_jacobian_agrees_with_analytic():
@@ -257,6 +268,10 @@ def test_binomial_pmf_closed_form_and_domain():
         p[0] = 1.0  # shared by every family over the same (n_trials, theta)
     with pytest.raises(ps.ParameterDomainError):
         fam.pmf(np.array([1.0]))
+    # one parameter, theta: no empty or longer vector
+    for b in ([], [0.3, 0.3]):
+        with pytest.raises(ps.ContractError, match="one parameter"):
+            fam.pmf(b)
     with pytest.raises(ps.ParameterDomainError):
         ps.binomial_family(1001)
     # a fractional or boolean trial count is refused, not built with d = n + 1

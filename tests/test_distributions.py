@@ -46,6 +46,8 @@ def test_parameter_domain_validation_at_construction():
         ps.lognormal(0.0, -0.5)
     with pytest.raises(ps.ParameterDomainError):
         MarginalSpec("cauchy", 0.0, 1.0)
+    with pytest.raises(ps.ParameterDomainError, match="finite numbers"):
+        ps.normal("a", 1.0)
 
 
 def test_analytic_fim_values():

@@ -98,6 +98,9 @@ def test_curve_rejects_scores_of_another_shape(batch):
     for scores in (batch.scores[:, 0], batch.scores[1:]):
         with pytest.raises(ps.ContractError, match="scores"):
             ps.sensitivity_curve(gvals, scores, [50.0])
+    # no rows at all: refused before the degenerate-output check reduces them
+    with pytest.raises(ps.ContractError, match="one row at least"):
+        ps.sensitivity_curve(gvals[:0], batch.scores[:0], [50.0])
 
 
 def test_curve_rejects_unknown_direction(batch):
@@ -136,6 +139,18 @@ def test_nonfinite_output_reports_draw_index():
 
     with pytest.raises(ps.EvaluationError, match="draw 5"):
         ps.evaluate_outputs(bad_h, b.draws)
+
+
+def test_evaluate_outputs_input_contracts():
+    h = lambda x: x[:, 0]  # noqa: E731
+    with pytest.raises(ps.ContractError, match="N >= 1"):
+        ps.evaluate_outputs(h, np.empty((0, 1)))
+    # a thread count, as the CLI's --workers: no zero, no fraction
+    draws = np.ones((3, 1))
+    for workers in (0, -1, 2.5, True):
+        with pytest.raises(ps.ParameterDomainError, match="workers"):
+            ps.evaluate_outputs(h, draws, workers=workers)
+    assert ps.evaluate_outputs(h, draws, workers=np.int64(2)).tolist() == [1.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +200,8 @@ def test_density_input_contracts(batch):
     for bandwidth in ([np.nan], [np.inf]):
         with pytest.raises(ps.ParameterDomainError, match="finite"):
             ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth=bandwidth)
+    with pytest.raises(ps.ContractError, match="bandwidth must be numbers"):
+        ps.estimate_output_density(batch.draws[:, 0], batch.scores, bandwidth="x")
     with pytest.raises(ps.ContractError):
         ps.estimate_output_density(np.zeros((2000, 3)), np.zeros((2000, 2)))
     with pytest.raises(ps.ContractError, match="scores"):  # one score column as a 1-D array

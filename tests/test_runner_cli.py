@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -250,10 +251,34 @@ def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
 
 def test_identity_run_memory():
     # the finite-difference check formed every row's likelihood ratios before
-    # its sweep and was the run's peak, 12.1 MB traced; the peak is now the
-    # KL batch's density grid, 10.2 MB
+    # its sweep and was the run's peak, 12.1 MB traced; then the KL batch's
+    # density grid was, 8.5 MB, with the whole base batch still alive.  The
+    # peak is now the threshold sweep's and the base density's, 6.15 MB
     config = RunConfig(case="identity", bandwidth=[0.04], seed=1)
-    assert peak_bytes(lambda: run_case(config)) < 10.5e6
+    assert peak_bytes(lambda: run_case(config)) < 6.5e6
+
+
+def test_perturbation_loop_holds_only_the_normals_of_the_base_batch(monkeypatch):
+    # the loop maps the base batch's standard normals; the batch, its draws
+    # and its scores have had their last reader by then
+    refs = []
+    real_sample, real_kl = runner.sample, runner.estimate_kl
+    seen = []
+
+    def spy_sample(*args, **kwargs):
+        batch = real_sample(*args, **kwargs)
+        refs.extend(weakref.ref(obj) for obj in (batch, batch.draws, batch.scores))
+        return batch
+
+    def spy_kl(*args, **kwargs):
+        seen.append([ref() is None for ref in refs])
+        return real_kl(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sample", spy_sample)
+    monkeypatch.setattr(runner, "estimate_kl", spy_kl)
+    run_case(RunConfig(case="identity", n_samples=2000))
+    assert len(refs) == 3
+    assert seen == [[True] * 3] * 2
 
 
 def test_discrete_oracle_case(tmp_path):
