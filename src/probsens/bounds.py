@@ -188,15 +188,15 @@ class DiscretePmfFamily:
     dpdb: Callable[[np.ndarray], np.ndarray] | None = None
 
     def probs(self, b) -> np.ndarray:
-        p = np.asarray(self.pmf(np.asarray(b, dtype=float)), dtype=float)
+        p = as_floats("pmf(b)", self.pmf(as_floats("b", b)))
         if p.shape != (self.d,):
             raise ContractError(f"pmf returned shape {p.shape}, expected ({self.d},)")
         return _require_pmf(p, "pmf(b)")
 
     def jacobian(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
+        b = as_floats("b", b)
         if self.dpdb is not None:
-            jac = np.asarray(self.dpdb(b), dtype=float)
+            jac = as_floats("dpdb(b)", self.dpdb(b))
             if jac.shape != (self.d, b.size):
                 raise ContractError(f"dpdb returned shape {jac.shape}")
             return jac

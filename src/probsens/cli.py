@@ -35,6 +35,31 @@ def _load_config(args, **defaults) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _violations(report: dict) -> list[str]:
+    """One line per violated bound of a run's report, from the fields it holds."""
+    if report["case"] == "discrete-oracle":
+        return [
+            f"discrete simplex oracle: {report['violations']} of {report['instances']} instances violated, "
+            f"worst margin {report['worst_margin']:.6g}"
+        ]
+    lines = [
+        f"|grad|^2 <= tr(F_y) at percentile {row['percentile']:g} (z={row['z']:.6g}): margin {row['margin']:.6g}"
+        for row in report["rows"]
+        if not row["norm_le_tr_fy"]
+    ]
+    info = report["info_processing"]
+    if not info["satisfied"]:
+        lines.append(f"tr(F_y) <= tr(F_x): {info['lhs']:.6g} > {info['rhs']:.6g}, margin {info['margin']:.6g}")
+    for pert in report["perturbations"]:
+        if pert["violations_fx"] or pert["violations_fy"]:
+            db = " ".join(f"{name}={v:+.6g}" for name, v in zip(report["param_names"], pert["db"]) if v)
+            lines.append(
+                f"|dP_f|^2 <= db^T F db at db {db}: {pert['violations_fx']} threshold(s) violated against F_x, "
+                f"{pert['violations_fy']} against F_y, worst margin {pert['worst_margin']:.6g}"
+            )
+    return lines
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="JSON configuration file")
     p.add_argument("--case", choices=CASES, help="case study to run")
@@ -90,7 +115,8 @@ def main(argv=None) -> int:
         if cfg.out_dir:
             print(f"outputs written to {cfg.out_dir}")
         if code != 0:
-            print("BOUND VIOLATION: see report.json for details", file=sys.stderr)
+            for line in _violations(report):
+                print(f"BOUND VIOLATION: {line}", file=sys.stderr)
         return code
     except (ProbsensError, OSError) as exc:
         # exit 1 means a violated bound and nothing else

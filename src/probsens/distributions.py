@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,9 +115,10 @@ class InputModel:
     marginals: tuple[MarginalSpec, ...]
 
     def __post_init__(self):
-        if len(self.marginals) < 1:
-            raise ParameterDomainError("model needs at least one marginal")
-        object.__setattr__(self, "marginals", tuple(self.marginals))
+        marginals = self.marginals
+        if not (isinstance(marginals, Sequence) and marginals and all(isinstance(m, MarginalSpec) for m in marginals)):
+            raise ContractError(f"marginals must be a non-empty sequence of MarginalSpec, got {marginals!r}")
+        object.__setattr__(self, "marginals", tuple(marginals))
 
     @property
     def n_inputs(self) -> int:
@@ -196,9 +198,9 @@ class ScoredSampleBatch:
     seed: int
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        scores = np.asarray(self.scores, dtype=float)
-        normals = np.asarray(self.normals, dtype=float)
+        draws = as_floats("draws", self.draws)
+        scores = as_floats("scores", self.scores)
+        normals = as_floats("normals", self.normals)
         if draws.ndim != 2 or scores.ndim != 2 or draws.shape[0] != scores.shape[0]:
             raise ContractError("draws and scores must be 2-D with matching row counts")
         if normals.shape != draws.shape:
@@ -208,6 +210,7 @@ class ScoredSampleBatch:
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
     @property
     def n(self) -> int:

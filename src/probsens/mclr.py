@@ -68,6 +68,9 @@ _GRID_POINTS = {1: 512, 2: 256}
 _REFINE = {1: 16, 2: 2}
 _KERNEL_CUT = 8.0
 
+# step of estimate_gradient_fd's central differences, relative to each parameter's scale
+_FD_REL_STEP = 1e-2
+
 
 @dataclass(frozen=True)
 class SensitivityResult:
@@ -142,6 +145,18 @@ def _performance_values(gvals) -> np.ndarray:
     if np.any(bad):
         raise EvaluationError(f"performance value is not finite at row {int(np.flatnonzero(bad)[0])}")
     return gvals
+
+
+def _score_matrix(scores, n: int) -> np.ndarray:
+    """The scores as an (n, params) float matrix; a non-finite score raises,
+    since it would come back as a NaN gradient or density derivative."""
+    scores = as_floats("scores", scores)
+    if scores.ndim != 2 or scores.shape[0] != n:
+        raise ContractError(f"scores must be an (N, n) matrix with one row per sample, got shape {scores.shape}")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise EvaluationError(f"score is not finite at row {int(np.flatnonzero(~finite.all(axis=1))[0])}")
+    return scores
 
 
 def _linear_percentiles(sorted_g: np.ndarray, percentiles: np.ndarray) -> np.ndarray:
@@ -242,7 +257,6 @@ def estimate_gradient_fd(
     model: InputModel,
     batch: ScoredSampleBatch,
     direction: str = "above",
-    rel_step: float = 1e-2,
     *,
     _order=None,
 ) -> np.ndarray:
@@ -254,9 +268,9 @@ def estimate_gradient_fd(
     :func:`sensitivity_curve`, so the comparison isolates the analytic
     score formulas from Monte-Carlo noise.
 
-    Each parameter's step is ``rel_step`` times its natural scale (the
-    owning marginal's sigma), which keeps the likelihood-ratio exponents
-    of order rel_step.  Returns one row of n_params components per
+    Each parameter's step is ``_FD_REL_STEP`` = 1e-2 times its natural
+    scale (the owning marginal's sigma), which keeps the likelihood-ratio
+    exponents of order 1e-2.  Returns one row of n_params components per
     threshold in ``zs``.  ``_order`` is the stable argsort of ``gvals``
     (:func:`_sort_order`) when the caller holds it.
 
@@ -268,9 +282,7 @@ def estimate_gradient_fd(
     elementwise within a row, so the bits equal those of forming every
     row's weights first, and no N-length weight is held.
     """
-    steps = rel_step * model.param_scales()
-    if np.any(steps <= 0.0):
-        raise ParameterDomainError("finite-difference steps must be positive")
+    steps = _FD_REL_STEP * model.param_scales()
     if np.size(gvals) != batch.n:
         raise ContractError("performance values must have one row per draw of the batch")
     # per parameter: the models shifted by +-step along it, and the difference's width
@@ -307,9 +319,7 @@ def sensitivity_curve(
     if not np.all((percentiles > 0.0) & (percentiles < 100.0)):
         raise ParameterDomainError("percentiles must lie strictly inside (0, 100)")
     gvals = _performance_values(gvals)
-    scores = as_floats("scores", scores)
-    if scores.ndim != 2 or scores.shape[0] != gvals.size:
-        raise ContractError("scores must be an (N, n) matrix with one row per performance value")
+    scores = _score_matrix(scores, gvals.size)
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
     order = _sort_order(gvals) if _order is None else _order
@@ -533,9 +543,7 @@ def estimate_output_density(
         raise ContractError(f"density grids support 1 or 2 output dimensions, got {k}")
     if n < 1000:
         raise ContractError(f"need at least 1000 samples for a stable density, got {n}")
-    scores = as_floats("scores", scores)
-    if scores.ndim != 2 or scores.shape[0] != n:
-        raise ContractError("scores must be an (N, n) matrix with one row per output row")
+    scores = _score_matrix(scores, n)
     bad = ~np.all(np.isfinite(outputs), axis=1)
     if np.any(bad):
         raise EvaluationError(f"output is not finite at row {int(np.flatnonzero(bad)[0])}")

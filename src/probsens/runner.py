@@ -2,22 +2,23 @@
 
 A run draws one scored sample batch, sweeps percentile thresholds, and
 certifies every inequality: the sensitivity chain at each threshold, the
-information-processing trace ordering, the perturbation bound for a set of
-parameter shifts, and the KL/quadratic-form consistency.  The shifted runs
-are paired with the base run on common random numbers: each shifted
-model maps the base batch's standard normals to its own draws, bit for bit
-the draws a fresh :func:`~probsens.distributions.sample` of it would give,
-and no shifted batch is scored: the KL block reads one batch's density
-alone.  Each N-length array of the base run is released after its last
-reader: the draws, the performance values and their sort order after the
-threshold sweep and the finite-difference check, which run back to back;
-the outputs and the scores after the base density.  The perturbation loop
-reads the standard normals alone.  Results go to ``curve.csv``,
-``density.csv`` and ``report.json``; numbers are written in shortest
-round-trip decimal form so identical configurations produce byte-identical
-files under any worker count.  Both CSV files go through one writer that
-formats and writes their rows block by block, so its memory does not grow
-with the density grid; the bytes are those of formatting every row at once.
+information-processing trace ordering, the perturbation bound for the
+fixed set of parameter shifts (:func:`_auto_perturbations`), and the
+KL/quadratic-form consistency.  The shifted runs are paired with the base
+run on common random numbers: each shifted model maps the base batch's
+standard normals to its own draws, bit for bit the draws a fresh
+:func:`~probsens.distributions.sample` of it would give, and no shifted
+batch is scored: the KL block reads one batch's density alone.  Each
+N-length array of the base run is released after its last reader: the
+draws, the performance values and their sort order after the threshold
+sweep and the finite-difference check, which run back to back; the outputs
+and the scores after the base density.  The perturbation loop reads the
+standard normals alone.  Results go to ``curve.csv``, ``density.csv`` and
+``report.json``; numbers are written in shortest round-trip decimal form
+so identical configurations produce byte-identical files under any worker
+count.  Both CSV files go through one writer that formats and writes their
+rows block by block, so its memory does not grow with the density grid;
+the bytes are those of formatting every row at once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .criteria import evaluate, theorem_suites
 from .distributions import InputModel, _integer as _index, normal, sample
 from .errors import ConfigError
 from .mclr import (
+    _FD_REL_STEP,
     _sort_order,
     _threshold_sums,
     estimate_gradient_fd,
@@ -59,11 +61,10 @@ from .models.beam import BeamConfig
 
 CASES = ("identity", "sho", "beam", "discrete-oracle")
 
-_ORACLE_DEFAULTS = {"n_trials": 5, "thetas": (0.2, 0.5, 0.8), "dtheta": 1e-3}
+# the oracle's trial count unless the config sets one, its parameter points and its step
+_ORACLE_TRIALS, _ORACLE_THETAS, _ORACLE_DTHETA = 5, (0.2, 0.5, 0.8), 1e-3
 # every one of the 2^(n_trials + 1) failure sets is enumerated at once
 _MAX_ORACLE_TRIALS = 16
-# relative step of the likelihood-ratio finite differences that check the gradients
-_FD_REL_STEP = 1e-2
 
 
 def _integer(name: str, value) -> int:
@@ -77,14 +78,10 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _list(name: str, values, item=_real) -> list:
+def _list(name: str, values) -> list:
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise ConfigError(f"{name} must be a list, got {values!r}")
-    return [item(name, v) for v in values]
-
-
-# how each oracle override is converted
-_ORACLE_KEYS = {"n_trials": _integer, "thetas": _list, "dtheta": _real}
+    return [_real(name, v) for v in values]
 
 
 @dataclass
@@ -96,7 +93,6 @@ class RunConfig:
     seed: int = 1
     percentiles: list = field(default_factory=lambda: list(range(1, 100)))
     perturbation_scale: float = 0.01
-    perturbations: list | None = None
     bandwidth: list | None = None
     oracle: dict = field(default_factory=dict)
     out_dir: str | None = None
@@ -115,8 +111,6 @@ class RunConfig:
             self.bandwidth = _list("bandwidth", self.bandwidth)
             if not self.bandwidth or not all(math.isfinite(h) and h > 0.0 for h in self.bandwidth):
                 raise ConfigError(f"bandwidth must be a non-empty list of positive finite widths, got {self.bandwidth}")
-        if self.perturbations is not None:
-            self.perturbations = _list("perturbations", self.perturbations, item=_list)
         if self.case != "discrete-oracle" and self.n_samples < 1000:
             raise ConfigError("n_samples must be >= 1000 (density estimation needs it)")
         if self.workers < 1:
@@ -131,17 +125,14 @@ class RunConfig:
             raise ConfigError("percentiles must lie strictly inside (0, 100)")
         if not isinstance(self.oracle, dict):
             raise ConfigError(f"oracle must be an object, got {self.oracle!r}")
-        unknown = set(self.oracle) - set(_ORACLE_KEYS)
+        unknown = set(self.oracle) - {"n_trials"}
         if unknown:
-            raise ConfigError(f"unknown oracle keys {sorted(unknown)}; allowed {tuple(_ORACLE_KEYS)}")
-        self.oracle = {k: _ORACLE_KEYS[k](f"oracle.{k}", v) for k, v in self.oracle.items()}
-        oracle = {**_ORACLE_DEFAULTS, **self.oracle}
-        if not 0 <= oracle["n_trials"] <= _MAX_ORACLE_TRIALS:
-            raise ConfigError(f"oracle.n_trials must be in [0, {_MAX_ORACLE_TRIALS}], got {oracle['n_trials']}")
-        if not oracle["thetas"] or any(not 0.0 < t < 1.0 for t in oracle["thetas"]):
-            raise ConfigError(f"oracle.thetas must be a non-empty list inside (0, 1), got {oracle['thetas']}")
-        if not math.isfinite(oracle["dtheta"]) or oracle["dtheta"] == 0.0:
-            raise ConfigError(f"oracle.dtheta must be finite and nonzero, got {oracle['dtheta']}")
+            raise ConfigError(f"unknown oracle keys {sorted(unknown)}; allowed ('n_trials',)")
+        if self.oracle:
+            n_trials = _integer("oracle.n_trials", self.oracle["n_trials"])
+            if not 0 <= n_trials <= _MAX_ORACLE_TRIALS:
+                raise ConfigError(f"oracle.n_trials must be in [0, {_MAX_ORACLE_TRIALS}], got {n_trials}")
+            self.oracle = {"n_trials": n_trials}
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -216,19 +207,12 @@ def build_case(config: RunConfig) -> CaseStudy:
 
 
 def _auto_perturbations(model: InputModel, scale: float) -> list[np.ndarray]:
-    """Per-parameter +-scale*sigma_j steps plus two mixed-direction vectors."""
+    """Per-parameter +scale*sigma_j and -scale*sigma_j steps, then two mixed
+    vectors: every step positive, and the signs alternating."""
     scales = scale * model.param_scales()
-    n = scales.size
-    out = []
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            db = np.zeros(n)
-            db[j] = sign * scales[j]
-            out.append(db)
-    out.append(scales.copy())
-    alt = scales * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    out.append(alt)
-    return out
+    # np.diag(-scales), not -np.diag(scales): a zero entry stays +0.0
+    steps = [db for pair in zip(np.diag(scales), np.diag(-scales)) for db in pair]
+    return steps + [scales, scales * np.resize([1.0, -1.0], scales.size)]
 
 
 def run_case(config: RunConfig) -> dict:
@@ -243,10 +227,7 @@ def run_case(config: RunConfig) -> dict:
         )
     model = case.model
     n = config.n_samples
-    if config.perturbations is not None:
-        dbs = [np.asarray(v, dtype=float) for v in config.perturbations]
-    else:
-        dbs = _auto_perturbations(model, config.perturbation_scale)
+    dbs = _auto_perturbations(model, config.perturbation_scale)
     # a perturbation that gives no valid model is refused before any sampling
     shifted_models = [model.shifted(db) for db in dbs]
 
@@ -267,7 +248,7 @@ def run_case(config: RunConfig) -> dict:
     order = _sort_order(gvals)
     curve = sensitivity_curve(gvals, batch.scores, config.percentiles, case.direction, _order=order)
     # gradient vs likelihood-ratio finite differences at every threshold
-    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, _FD_REL_STEP, order)
+    fd_check = _fd_check(case, batch, gvals, curve, config.percentiles, order)
     # the density reads the scores and the perturbation loop the normals;
     # nothing else of the batch is read again
     scores, normals = batch.scores, batch.normals
@@ -374,7 +355,7 @@ def run_case(config: RunConfig) -> dict:
     }
 
 
-def _fd_check(case, batch, gvals, curve, percentiles, rel_step, order=None) -> dict:
+def _fd_check(case, batch, gvals, curve, percentiles, order=None) -> dict:
     """Compare the curve's score-weighted gradients against likelihood-ratio
     central differences on the same draws, at every threshold.
 
@@ -382,7 +363,7 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step, order=None) -> d
     near-zero quantity is uninformative).
     """
     zs, grads = curve.z, curve.gradient
-    fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=rel_step, _order=order)
+    fds = estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, _order=order)
     big = np.abs(grads) > 0.1
     rels = np.abs(grads - fds)[big] / np.abs(grads[big])
     detail = [
@@ -395,29 +376,28 @@ def _fd_check(case, batch, gvals, curve, percentiles, rel_step, order=None) -> d
         for pct, z, grad, fd in zip(percentiles, zs, grads, fds)
         if pct in range(10, 100, 10)  # keep the report compact
     ]
-    return {"rel_step": rel_step, "max_rel_err": float(rels.max(initial=0.0)), "thresholds": detail}
+    return {"rel_step": _FD_REL_STEP, "max_rel_err": float(rels.max(initial=0.0)), "thresholds": detail}
 
 
 def _run_discrete_oracle(config: RunConfig) -> dict:
     """Every failure set of the binomial family, one oracle call per theta."""
-    oracle = {**_ORACLE_DEFAULTS, **config.oracle}
-    n_trials, thetas, dtheta = oracle["n_trials"], list(oracle["thetas"]), oracle["dtheta"]
+    n_trials = config.oracle.get("n_trials", _ORACLE_TRIALS)
     cells = n_trials + 1
     # row m is the failure set of the cells whose bits are set in m
     sets = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
     fam = binomial_family(n_trials)
     violations, worst_margin = 0, math.inf
-    for theta in thetas:
-        res = discrete_simplex_oracle(fam, [theta], [dtheta], sets)
+    for theta in _ORACLE_THETAS:
+        res = discrete_simplex_oracle(fam, [theta], [_ORACLE_DTHETA], sets)
         violations += int(np.count_nonzero(~(res.eq2_satisfied & res.geometric_satisfied)))
         worst_margin = min(worst_margin, float(res.eq2_margin.min()))
     return {
         "case": "discrete-oracle",
         "all_bounds_satisfied": violations == 0,
         "n_trials": n_trials,
-        "thetas": thetas,
-        "dtheta": dtheta,
-        "instances": len(thetas) * len(sets),
+        "thetas": list(_ORACLE_THETAS),
+        "dtheta": _ORACLE_DTHETA,
+        "instances": len(_ORACLE_THETAS) * len(sets),
         "violations": violations,
         "worst_margin": worst_margin,
         "provenance": {

@@ -92,12 +92,12 @@ def bincount_linear_bin(coords, shape, weights):
     return [np.bincount(nodes, shares * np.tile(w, tiles), math.prod(shape)).reshape(shape) for w in weights.T]
 
 
-def whole_array_gradient_fd(gvals, zs, model, batch, direction="above", rel_step=1e-2):
+def whole_array_gradient_fd(gvals, zs, model, batch, direction="above"):
     """The finite-difference oracle as it was before per-block weights: the
     base log-density, both likelihood ratios and the (N, n) weight
     differences of every row formed before the sweep; the reference for
     ``mclr.estimate_gradient_fd``."""
-    steps = rel_step * model.param_scales()
+    steps = mclr._FD_REL_STEP * model.param_scales()
     base_logp = model.logpdf(batch.draws)
     wdiff = np.empty((batch.n, model.n_params))
     for j, step in enumerate(steps):

@@ -48,6 +48,19 @@ def test_parameter_domain_validation_at_construction():
         MarginalSpec("cauchy", 0.0, 1.0)
     with pytest.raises(ps.ParameterDomainError, match="finite numbers"):
         ps.normal("a", 1.0)
+    # a model is a non-empty sequence of marginals and nothing else
+    for marginals in ("ab", 3, (), [], None, (ps.normal(0.0, 1.0), "x")):
+        with pytest.raises(ps.ContractError, match="sequence of MarginalSpec"):
+            ps.InputModel(marginals)
+    assert ps.InputModel([ps.normal(0.0, 1.0)]).marginals == (ps.normal(0.0, 1.0),)
+
+
+def test_scored_sample_batch_refuses_a_seed_that_is_not_an_integer():
+    b = ps.sample(ps.InputModel((ps.normal(0.0, 1.0),)), 4, seed=7)
+    for seed in ("s", 1.5, True):
+        with pytest.raises(ps.ParameterDomainError, match="seed must be an integer"):
+            ps.ScoredSampleBatch(b.draws, b.scores, b.normals, seed)
+    assert ps.ScoredSampleBatch(b.draws, b.scores, b.normals, np.int64(7)).seed == 7
 
 
 def test_analytic_fim_values():

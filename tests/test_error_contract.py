@@ -63,6 +63,22 @@ TABLE = (
         {"db": [1e-2, 1e-2], "kl": 0.004},
     ),
     ("FisherMatrix.quad_form", _F.quad_form, {"db": [1.0, 1.0]}),
+    # the public names that take objects, with the arrays inside them spoiled
+    (
+        "ScoredSampleBatch",
+        ps.ScoredSampleBatch,
+        {"draws": _BATCH.draws[:10], "scores": _BATCH.scores[:10], "normals": _BATCH.normals[:10], "seed": 1},
+    ),
+    (
+        "DiscretePmfFamily.probs",
+        lambda b, p: ps.DiscretePmfFamily(2, lambda _: p).probs(b),
+        {"b": [0.5], "p": [0.4, 0.6]},
+    ),
+    (
+        "DiscretePmfFamily.jacobian",
+        lambda b, jac: ps.DiscretePmfFamily(2, lambda _: [0.4, 0.6], lambda _: jac).jacobian(b),
+        {"b": [0.5], "jac": [[1.0], [-1.0]]},
+    ),
 )
 
 

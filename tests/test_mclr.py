@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import probsens as ps
+from probsens import mclr
 from conftest import min_eigenvalue, normal_pdf_grid, weight_rows
 from probsens.mclr import DensityGrid, _threshold_sums
 
@@ -51,10 +52,12 @@ def test_gradient_closed_form_at_mean(batch):
     assert norm_sq == pytest.approx(float(grad @ grad))
 
 
-def test_gradient_vs_fd_step_1e3(batch):
-    # 1e-3 steps (5e-3 of sigma = 0.2); agreement wherever |component| > 0.1
+def test_gradient_vs_fd_step_1e3(batch, monkeypatch):
+    # 1e-3 steps (5e-3 of sigma = 0.2), half the fixed step; agreement
+    # wherever |component| > 0.1
+    monkeypatch.setattr(mclr, "_FD_REL_STEP", 5e-3)
     curve = ps.sensitivity_curve(batch.draws[:, 0], batch.scores, (10, 30, 50, 70, 90), direction="below")
-    fds = ps.estimate_gradient_fd(batch.draws[:, 0], curve.z, IDENTITY, batch, "below", rel_step=5e-3)
+    fds = ps.estimate_gradient_fd(batch.draws[:, 0], curve.z, IDENTITY, batch, "below")
     for grad, fd in zip(curve.gradient, fds):
         for gj, fj in zip(grad, fd):
             if abs(gj) > 0.1:
@@ -126,6 +129,12 @@ def test_curve_rejects_nonfinite_performance(batch):
     gv[7] = -np.inf
     with pytest.raises(ps.EvaluationError, match="row 7"):
         ps.estimate_gradient_fd(gv, [1.0], IDENTITY, batch, "below")
+    # a non-finite score would come back as a NaN gradient, read as a violated bound
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = batch.scores.copy()
+        scores[11, 1] = bad
+        with pytest.raises(ps.EvaluationError, match="score is not finite at row 11"):
+            ps.sensitivity_curve(batch.draws[:, 0], scores, [10.0, 50.0], direction="below")
 
 
 def test_nonfinite_output_reports_draw_index():
@@ -220,6 +229,12 @@ def test_density_input_contracts(batch):
     y[9] = np.nan
     with pytest.raises(ps.EvaluationError, match="row 9"):
         ps.estimate_output_density(y, batch.scores)
+    # a non-finite score would spread NaN over the derivative grid
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = batch.scores.copy()
+        scores[13, 0] = bad
+        with pytest.raises(ps.EvaluationError, match="score is not finite at row 13"):
+            ps.estimate_output_density(batch.draws[:, 0], scores)
 
 
 def test_output_fim_identity_trace(grid):

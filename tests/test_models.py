@@ -342,12 +342,10 @@ def test_beam_ensemble_threaded_chunks_match_serial(monkeypatch):
 
 def test_beam_run_bytes_independent_of_workers(tmp_path):
     # 4200 samples make two evaluation chunks (CHUNK = 4096), so --workers 2
-    # really evaluates the forward map on two threads; one perturbation and
-    # three thresholds keep the run short
+    # really evaluates the forward map on two threads; three thresholds keep
+    # the run short
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps({"percentiles": [25, 50, 75], "perturbations": [[0.0047, 0.0, 0.0, 0.0]]})
-    )
+    cfg_path.write_text(json.dumps({"percentiles": [25, 50, 75]}))
     outs, codes = [], []
     for workers in ("1", "2"):
         d = tmp_path / f"w{workers}"

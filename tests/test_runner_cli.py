@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ import probsens as ps
 from conftest import peak_bytes
 from probsens.mclr import DensityGrid
 from probsens.cli import main
-from probsens import criteria, runner
+from probsens import cli, criteria, runner
 from probsens.runner import RunConfig, run, run_case, verify, write_outputs
 
 FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
@@ -25,29 +27,31 @@ FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
 def test_config_rejects_unknown_keys():
     with pytest.raises(ps.ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"case": "identity", "samples": 10})
-    with pytest.raises(ps.ConfigError, match="unknown oracle keys"):
-        RunConfig(case="discrete-oracle", oracle={"n_trails": 3})
-    # each case study's model is fixed: no beam overrides, no FD step
-    for key, value in (("beam", {"length": 2.0}), ("fd_rel_step", 1e-2)):
+    # the oracle's thetas and dtheta are fixed
+    for oracle in ({"n_trails": 3}, {"thetas": [0.5]}, {"dtheta": 1e-3}):
+        with pytest.raises(ps.ConfigError, match="unknown oracle keys"):
+            RunConfig(case="discrete-oracle", oracle=oracle)
+    # each case study's model is fixed: no beam overrides, no FD step, no
+    # perturbations but the automatic ones
+    for key, value in (("beam", {"length": 2.0}), ("fd_rel_step", 1e-2), ("perturbations", [[0.1, 0.0]])):
         with pytest.raises(ps.ConfigError, match=f"unknown config keys \\['{key}'\\]"):
             RunConfig.from_dict({"case": "beam", key: value})
 
 
-def test_config_has_twelve_settable_values():
-    # nine fields set directly, and the oracle's three keys
+def test_config_has_nine_settable_values():
+    # eight fields set directly, and the oracle's one key
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
         "case",
         "n_samples",
         "seed",
         "percentiles",
         "perturbation_scale",
-        "perturbations",
         "bandwidth",
         "oracle",
         "out_dir",
         "workers",
     ]
-    assert list(runner._ORACLE_DEFAULTS) == list(runner._ORACLE_KEYS) == ["n_trials", "thetas", "dtheta"]
+    assert RunConfig(case="discrete-oracle", oracle={"n_trials": 9}).oracle == {"n_trials": 9}
 
 
 def test_config_validation():
@@ -71,25 +75,17 @@ def test_config_validation():
         ("percentiles", ["abc"]),
         ("bandwidth", "ab"),
         ("bandwidth", [None]),
-        ("perturbations", [0.1, 0.2]),
-        ("perturbations", [["0.1"]]),
         ("oracle", {"n_trials": "x"}),
         ("oracle", {"n_trials": 3.7}),
-        ("oracle", {"thetas": "0.5"}),
-        ("oracle", {"dtheta": "1e-3"}),
         # the oracle must finish and certify something
         ("oracle", {"n_trials": 17}),
         ("oracle", {"n_trials": -1}),
-        ("oracle", {"thetas": []}),
-        ("oracle", {"thetas": [0.0]}),
-        ("oracle", {"thetas": [0.5, 1.0]}),
-        ("oracle", {"dtheta": 0.0}),
         ("oracle", ["n_trials"]),
     ):
         with pytest.raises(ps.ConfigError, match=key):
             RunConfig(case="identity", **{key: bad})
-    cfg = RunConfig(case="identity", perturbation_scale=1, bandwidth=[np.float32(0.5)], perturbations=[[1, 0]])
-    assert (cfg.perturbation_scale, cfg.bandwidth, cfg.perturbations) == (1.0, [0.5], [[1.0, 0.0]])
+    cfg = RunConfig(case="identity", perturbation_scale=1, bandwidth=[np.float32(0.5)])
+    assert (cfg.perturbation_scale, cfg.bandwidth) == (1.0, [0.5])
     assert type(RunConfig(case="discrete-oracle", oracle={"n_trials": np.int64(3)}).oracle["n_trials"]) is int
 
 
@@ -302,24 +298,19 @@ def test_run_case_sho_fast():
 
 
 def test_run_case_beam_fast():
-    # small ensemble, explicit perturbation list: exercises the 2-D density
-    # path, ensemble-normalised performance, and the paired-run machinery
-    db = [0.0047, 0.0, 0.0, 0.0]  # 0.01 * sigma_E on mu_E only
-    report = run_case(
-        RunConfig(
-            case="beam",
-            n_samples=1500,
-            percentiles=[25.0, 50.0, 75.0],
-            perturbations=[db, [v * -1 for v in db]],
-        )
-    )
+    # small ensemble: exercises the 2-D density path, ensemble-normalised
+    # performance, and the paired-run machinery
+    report = run_case(RunConfig(case="beam", n_samples=1500, percentiles=[25.0, 50.0, 75.0]))
     assert report["all_bounds_satisfied"]
     assert report["tr_fx"] == pytest.approx(3 / 0.47**2 + 3 / 0.2**2)
     assert report["tr_fy"] < report["tr_fx"]
-    assert len(report["perturbations"]) == 2
-    assert report["perturbations"][0]["db"] == db
+    # +-0.01 sigma along each of the four parameters, and the two mixed vectors
+    assert len(report["perturbations"]) == 10
+    assert report["perturbations"][0]["db"] == [0.01 * 0.47, 0.0, 0.0, 0.0]
+    # every zero entry is +0.0: report.json never reads -0.0
+    assert all(math.copysign(1.0, v) == 1.0 for p in report["perturbations"] for v in p["db"] if v == 0.0)
     assert all(p["violations_fx"] + p["violations_fy"] == 0 for p in report["perturbations"])
-    assert report["kl_consistency"] is None  # no all-positive vector supplied
+    assert report["kl_consistency"]["db"] == [0.01 * 0.47, 0.01 * 0.47, 0.002, 0.002]
     assert report["density"]["mass"] > 0.98
     assert report["direction"] == "above"
 
@@ -398,17 +389,10 @@ def test_cli_refuses_bad_bandwidth_before_sampling(bandwidth, tmp_path, monkeypa
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "case, db",
-    [
-        ("identity", [0.1, -0.3]),  # sigma 0.2 shifted below zero
-        ("identity", [0.1]),
-        ("identity", [float("nan"), 0.01]),
-        ("beam", [0.0, 0.0, 0.1, -0.3]),  # the density's sigma 0.2 shifted below zero
-        ("beam", [0.1, 0.01]),
-    ],
-)
-def test_run_refuses_bad_perturbation_before_sampling(case, db, monkeypatch):
+# a scale of 1 or more shifts every sigma to zero or below it
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("case", ["identity", "beam"])
+def test_run_refuses_bad_perturbation_before_sampling(case, scale, monkeypatch):
     # every shifted model is built before the base batch is drawn
     calls = []
     real_sample = runner.sample
@@ -419,7 +403,7 @@ def test_run_refuses_bad_perturbation_before_sampling(case, db, monkeypatch):
 
     monkeypatch.setattr(runner, "sample", spy)
     with pytest.raises(ps.ProbsensError):
-        run_case(RunConfig(case=case, n_samples=2000, perturbations=[db]))
+        run_case(RunConfig(case=case, n_samples=2000, perturbation_scale=scale))
     assert calls == []
 
 
@@ -461,6 +445,19 @@ def test_every_criterion_can_fail(criterion, small_report, oracle_report):
     assert failed == [criterion.name]
 
 
+def test_violation_lines_name_each_bound(small_report, oracle_report):
+    report = copy.deepcopy(small_report)
+    row = report["rows"][50]
+    row.update(norm_le_tr_fy=False, margin=-0.5)
+    report["info_processing"].update(satisfied=False, lhs=76.0, rhs=75.0, margin=-1.0)
+    assert cli._violations(report) == [
+        f"|grad|^2 <= tr(F_y) at percentile 51 (z={row['z']:.6g}): margin -0.5",
+        "tr(F_y) <= tr(F_x): 76 > 75, margin -1",
+    ]
+    oracle = dict(oracle_report, violations=2, worst_margin=-1e-9)
+    assert cli._violations(oracle) == ["discrete simplex oracle: 2 of 192 instances violated, worst margin -1e-09"]
+
+
 def test_cli_print_config_round_trip(tmp_path, capsys):
     assert main(["print-config", "--case", "beam", "--samples", "5000"]) == 0
     cfg = json.loads(capsys.readouterr().out)
@@ -472,6 +469,22 @@ def test_cli_print_config_round_trip(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"case": "beam", "seed": 3}))
     assert main(["print-config", "--config", str(cfg_path)]) == 0
     assert json.loads(capsys.readouterr().out) == RunConfig(case="beam", seed=3).to_dict()
+
+
+def test_benchmark_workload_configs_load(tmp_path, capsys):
+    # perfbench runs each of its workloads through RunConfig.from_dict: a
+    # config key it uses and the runner drops fails here first
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", worker)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.WORKLOADS
+    cfg_path = tmp_path / "cfg.json"
+    for name, workload in module.WORKLOADS.items():
+        config = RunConfig.from_dict(dict(workload, seed=1, out_dir=str(tmp_path)))
+        cfg_path.write_text(json.dumps(workload))
+        assert main(["print-config", "--config", str(cfg_path), "--seed", "1"]) == 0, name
+        assert json.loads(capsys.readouterr().out) == dict(config.to_dict(), out_dir=None), name
 
 
 def test_cli_run_with_config_file(tmp_path, capsys):
@@ -503,24 +516,21 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         {"bandwidth": [float("nan")]},
         {"bandwidth": [float("inf")]},
         {"bandwidth": []},
-        {"perturbations": [[0.1]]},
-        # a shifted sigma below zero, or a NaN shift
-        {"perturbations": [[0.1, -0.3]]},
-        {"perturbations": [[float("nan"), 0.01]]},
+        # a perturbation scale that shifts sigma to zero or below it
+        {"perturbation_scale": 1.0},
         {"percentiles": ["abc"]},
         {"percentiles": "57"},
-        {"case": "discrete-oracle", "oracle": {"thetas": [1.5]}},
         {"case": "discrete-oracle", "oracle": {"n_trials": "x"}},
         {"case": "discrete-oracle", "oracle": {"n_trials": 3.7}},
         {"case": "discrete-oracle", "oracle": {"n_trials": 40}},
-        {"case": "discrete-oracle", "oracle": {"thetas": []}},
-        {"case": "discrete-oracle", "oracle": {"thetas": [0.0]}},
-        {"case": "discrete-oracle", "oracle": {"dtheta": 0}},
-        # the gradient check's finite-difference step is fixed
+        # the gradient check's finite-difference step, the perturbations and
+        # the oracle's thetas and dtheta are fixed
         {"fd_rel_step": 1e-2},
-        # an output Fisher information or a quadratic form that is infinite or NaN
+        {"perturbations": [[0.002, 0.0]]},
+        {"case": "discrete-oracle", "oracle": {"thetas": [0.5]}},
+        {"case": "discrete-oracle", "oracle": {"dtheta": 1e-3}},
+        # an output Fisher information that is infinite or NaN
         {"n_samples": 2000, "bandwidth": [1e300]},
-        {"n_samples": 2000, "perturbations": [[1e308, 0]]},
         # JSON booleans are not numbers
         {"seed": True},
         {"workers": True},
@@ -565,7 +575,7 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["case"] == "identity"
 
 
-def test_exit_nonzero_on_bound_violation(monkeypatch):
+def test_exit_nonzero_on_bound_violation(monkeypatch, tmp_path, capsys):
     # force a violation by shrinking the reported input information
     real_fim = ps.InputModel.fim
 
@@ -576,12 +586,23 @@ def test_exit_nonzero_on_bound_violation(monkeypatch):
     report, code = run(RunConfig(case="identity", **FAST))
     assert code == 1
     assert not report["all_bounds_satisfied"]
+    assert main(["run", "--case", "identity", "--samples", "4000"]) == 1
+    assert f"BOUND VIOLATION: tr(F_y) <= tr(F_x): {report['tr_fy']:.6g} > " in capsys.readouterr().err
     monkeypatch.undo()
     # unpatched, a perturbation violation alone: at 2000 beam samples, seed 1,
     # one F_y perturbation bound fails at a p_f resolution of 1/N
-    report, code = run(RunConfig(case="beam", n_samples=2000, seed=1))
+    capsys.readouterr()
+    code = main(["run", "--case", "beam", "--samples", "2000", "--seed", "1", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
     assert all(row["norm_le_tr_fy"] for row in report["rows"])
     assert report["info_processing"]["satisfied"]
-    assert any(p["violations_fx"] + p["violations_fy"] for p in report["perturbations"])
+    (violated,) = [p for p in report["perturbations"] if p["violations_fx"] + p["violations_fy"]]
+    assert (violated["violations_fx"], violated["violations_fy"]) == (0, 1)
     assert not report["all_bounds_satisfied"]
     assert code == 1
+    # stderr names the violated bound: the perturbation by parameter, its counts and margin
+    assert violated["db"] == [0.0, 0.0, 0.0, -0.01 * 0.2]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("BOUND VIOLATION: |dP_f|^2 <= db^T F db at db x1.sigma=-0.002: ")
+    assert "0 threshold(s) violated against F_x, 1 against F_y" in line
+    assert f"worst margin {violated['worst_margin']:.6g}" in line

@@ -111,12 +111,12 @@ def test_sweep_matches_per_threshold_loop(case_name, seed):
     _assert_columns_close(curve.grad_norm_sq, norm)
 
     zs = curve.z
-    fds = ps.estimate_gradient_fd(gvals, zs, case.model, batch, case.direction, rel_step=runner._FD_REL_STEP)
-    ref_fds = _reference_fd(gvals, zs, case.model, batch, case.direction, runner._FD_REL_STEP)
+    fds = ps.estimate_gradient_fd(gvals, zs, case.model, batch, case.direction)
+    ref_fds = _reference_fd(gvals, zs, case.model, batch, case.direction, mclr._FD_REL_STEP)
     _assert_columns_close(fds, ref_fds)
     big = np.abs(grad) > 0.1
     ref_max_rel = float((np.abs(grad - ref_fds)[big] / np.abs(grad[big])).max())
-    max_rel = _fd_check(case, batch, gvals, curve, config.percentiles, runner._FD_REL_STEP)["max_rel_err"]
+    max_rel = _fd_check(case, batch, gvals, curve, config.percentiles)["max_rel_err"]
     assert max_rel == pytest.approx(ref_max_rel, rel=1e-8)
 
     # perturbed batches: p_f at the base thresholds, bit for bit
