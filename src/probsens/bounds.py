@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import _integer
-from .errors import ContractError, ParameterDomainError, SupportError, as_floats
+from .errors import ContractError, ParameterDomainError, SupportError, as_floats, expect
 from .fisher import FisherMatrix
 from .mclr import SensitivityResult
 
@@ -83,6 +83,8 @@ def check_sensitivity_bound(curve: SensitivityResult, f_y: FisherMatrix) -> Boun
     lhs, satisfied and margin are arrays of shape (T,), one entry per row
     of the curve, and the context holds the curve's z and p_f columns.
     """
+    expect("curve", curve, SensitivityResult)
+    expect("F_y", f_y, FisherMatrix)
     if curve.gradient.shape[1:] != (f_y.n,):
         raise ContractError("parameter dimensions of gradient and information matrix differ")
     return BoundReport.of("grad_norm_sq<=tr_Fy", curve.grad_norm_sq, f_y.trace, {"z": curve.z, "p_f": curve.p_f})
@@ -102,7 +104,7 @@ def check_perturbation_bound(p_f_at_b, p_f_at_b_plus, db, fim: FisherMatrix) -> 
     dp = as_floats("p_f_at_b_plus", p_f_at_b_plus) - as_floats("p_f_at_b", p_f_at_b)
     if not np.all(np.isfinite(dp)):
         raise ParameterDomainError("failure probabilities must be finite")
-    quad = fim.quad_form(db)
+    quad = expect("information matrix", fim, FisherMatrix).quad_form(db)
     if quad > 1.0:
         warnings.warn(
             f"perturbation quadratic form {quad:.3g} > 1: bound is vacuous", RuntimeWarning
@@ -347,7 +349,7 @@ def info_processing_check(f_y: FisherMatrix, f_x: FisherMatrix) -> BoundReport:
     a kernel-estimated F_y only a relaxed check is possible, recorded in
     the context as a secondary report with rhs = _EIG_TOL * tr(F_x).
     """
-    if f_y.n != f_x.n:
+    if expect("F_y", f_y, FisherMatrix).n != expect("F_x", f_x, FisherMatrix).n:
         raise ContractError("information matrices differ in dimension")
     diff = f_x.matrix - f_y.matrix
     min_eig = float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
@@ -373,7 +375,7 @@ def kl_quadratic_consistency(fim: FisherMatrix, db, kl_direct: float) -> float:
         raise ContractError(f"measured KL must be one number, got shape {kl.shape}")
     if not math.isfinite(kl):
         raise ParameterDomainError(f"measured KL must be finite, got {kl_direct}")
-    half_quad = 0.5 * fim.quad_form(db)
+    half_quad = 0.5 * expect("information matrix", fim, FisherMatrix).quad_form(db)
     if half_quad <= 0.0:
         raise ContractError("quadratic form must be positive for a relative error")
     return abs(float(kl) - half_quad) / half_quad

@@ -210,7 +210,7 @@ class ScoredSampleBatch:
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def n(self) -> int:
@@ -237,6 +237,15 @@ def _integer(name: str, value, error: type[ProbsensError] = ParameterDomainError
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value, error: type[ProbsensError] = ParameterDomainError) -> int:
+    """``value`` as a seed of the counter-based streams, an integer in
+    [0, 2**64); anything else raises ``error``."""
+    seed = _integer("seed", value, error)
+    if not 0 <= seed < 2**64:
+        raise error(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     """Draw n i.i.d. realisations of the model and fill in their scores.
 
@@ -250,11 +259,9 @@ def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
     ``sample(shifted, n, seed)``, without drawing or inverting again.
     """
-    n, seed = _integer("sample count", n), _integer("seed", seed)
+    n, seed = _integer("sample count", n), _seed(seed)
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
-    if not 0 <= seed < 2**64:
-        raise ParameterDomainError(f"seed must be in [0, 2**64), got {seed}")
     normals = np.empty((n, model.n_inputs))
     for j in range(model.n_inputs):
         for start, stop in chunk_ranges(n, _INVERSION_CHUNK):

@@ -1,5 +1,5 @@
 """Semantic exception types shared across the package, and the float
-conversion of public arguments that raises them."""
+conversion and type check of public arguments that raise them."""
 
 import numpy as np
 
@@ -35,3 +35,11 @@ def as_floats(name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"{name} must be numbers, got {value!r}") from exc
+
+
+def expect(name: str, value, kind: type):
+    """``value`` itself; a value that is not a ``kind``, such as a string
+    where an object of the package is expected, raises :class:`ContractError`."""
+    if not isinstance(value, kind):
+        raise ContractError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value

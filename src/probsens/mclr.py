@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import InputModel, ScoredSampleBatch, _integer
-from .errors import ContractError, EvaluationError, ParameterDomainError, as_floats
+from .errors import ContractError, EvaluationError, ParameterDomainError, as_floats, expect
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges
 
@@ -282,8 +282,8 @@ def estimate_gradient_fd(
     elementwise within a row, so the bits equal those of forming every
     row's weights first, and no N-length weight is held.
     """
-    steps = _FD_REL_STEP * model.param_scales()
-    if np.size(gvals) != batch.n:
+    steps = _FD_REL_STEP * expect("model", model, InputModel).param_scales()
+    if np.size(gvals) != expect("batch", batch, ScoredSampleBatch).n:
         raise ContractError("performance values must have one row per draw of the batch")
     # per parameter: the models shifted by +-step along it, and the difference's width
     pairs = [(model.shifted(db), model.shifted(-db), 2.0 * step) for db, step in zip(np.diag(steps), steps)]
@@ -485,10 +485,21 @@ def _linear_bin(coords, shape, scores, centre):
 
 
 def _kernel_matrix(taps, refine, n_nodes, lo, hi) -> np.ndarray:
-    """Taps between every axis node (rows) and lattice nodes lo..hi-1 (columns)."""
-    offset = np.arange(lo, hi)[None, :] - refine * np.arange(n_nodes)[:, None]
-    inside = (offset >= 0) & (offset < taps.size)
-    return np.where(inside, taps[np.clip(offset, 0, taps.size - 1)], 0.0)
+    """Taps between every axis node (rows) and lattice nodes lo..hi-1 (columns).
+
+    Entry (i, c) is ``taps[lo + c - refine * i]`` where that index lies in
+    the taps, and 0.0 elsewhere.  Row i is the tap window centred on axis
+    node i, which starts at column ``refine * i - lo``; each row's part of
+    it that falls in the block is copied into a zeroed matrix, so nothing
+    but the matrix is formed.
+    """
+    out = np.zeros((n_nodes, hi - lo))
+    for i, row in enumerate(out):
+        first = refine * i - lo
+        start, stop = max(first, 0), min(first + taps.size, hi - lo)
+        if start < stop:
+            row[start:stop] = taps[start - first : stop - first]
+    return out
 
 
 def estimate_output_density(
@@ -601,12 +612,18 @@ def estimate_output_fim(dg: DensityGrid) -> FisherMatrix:
     the grid mass sits below that floor.  An infinite or NaN entry, as from a density that
     underflows on a grid far wider than the outputs, raises
     :class:`EvaluationError`: no bound can be judged against it.
+
+    The grid products are formed with ``out=`` in one reused buffer and in
+    the trapezoid weights' own array, in the order of the plain
+    expressions, so every entry keeps their bits.
     """
+    expect("density grid", dg, DensityGrid)
     w = dg.cell_weights()
     p = dg.density
     mask = p >= DENSITY_FLOOR * p.max()
-    excluded = float(np.sum(w * np.where(mask, 0.0, p)))
-    total = float(np.sum(w * p))
+    buf = np.where(mask, 0.0, p)
+    excluded = float(np.sum(np.multiply(w, buf, out=buf)))
+    total = float(np.sum(np.multiply(w, p, out=buf)))
     if total > 0 and excluded > 0.05 * total:
         warnings.warn(
             f"{excluded / total:.1%} of grid mass below the density floor; "
@@ -618,10 +635,13 @@ def estimate_output_fim(dg: DensityGrid) -> FisherMatrix:
     fim = np.empty((n, n))
     # an overflow here is reported below as a non-finite matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        inv_p = np.where(mask, w / np.where(mask, p, 1.0), 0.0)
+        # w / p at or above the floor and 0.0 below it
+        inv_p = np.divide(w, p, out=w, where=mask)
+        inv_p[~mask] = 0.0
         for j in range(n):
             for kk in range(j, n):
-                val = float(np.sum(inv_p * grads[j] * grads[kk]))
+                np.multiply(inv_p, grads[j], out=buf)
+                val = float(np.sum(np.multiply(buf, grads[kk], out=buf)))
                 fim[j, kk] = val
                 fim[kk, j] = val
     if not np.all(np.isfinite(fim)):
@@ -634,16 +654,23 @@ def estimate_kl(dg_b: DensityGrid, dg_b_plus: DensityGrid) -> float:
 
     Both grids must be identical; cells where either density falls below
     ``DENSITY_FLOOR`` times its maximum are excluded (the tails there are
-    estimator noise).
+    estimator noise).  The grid products of ``w * p * ln(p / q)`` are
+    formed with ``out=`` in one reused buffer and in the trapezoid weights'
+    own array, in the order of the plain expression, so the sum keeps its
+    bits.
     """
+    expect("density grid", dg_b, DensityGrid)
+    expect("perturbed density grid", dg_b_plus, DensityGrid)
     if not dg_b.same_grid(dg_b_plus):
         raise ContractError("relative entropy needs both densities on the same grid")
     w = dg_b.cell_weights()
     p = dg_b.density
     q = dg_b_plus.density
     mask = (p >= DENSITY_FLOOR * p.max()) & (q >= DENSITY_FLOOR * q.max()) & (p > 0.0) & (q > 0.0)
-    ratio = np.where(mask, p / np.where(mask, q, 1.0), 1.0)
-    kl = float(np.sum(np.where(mask, w * p * np.log(ratio), 0.0)))
+    # ln(p / q) on the kept cells; elsewhere ln(1.0) = 0.0, which the masked product keeps
+    buf = np.divide(p, q, out=np.ones(p.shape), where=mask)
+    np.log(buf, out=buf)
+    kl = float(np.sum(np.multiply(np.multiply(w, p, out=w), buf, out=buf, where=mask)))
     if kl < -1e-6:
         warnings.warn(f"relative entropy came out {kl:.3e} < 0 beyond quadrature noise", RuntimeWarning)
     return kl

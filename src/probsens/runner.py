@@ -16,9 +16,11 @@ and the scores after the base density.  The perturbation loop reads the
 standard normals alone.  Results go to ``curve.csv``, ``density.csv`` and
 ``report.json``; numbers are written in shortest round-trip decimal form
 so identical configurations produce byte-identical files under any worker
-count.  Both CSV files go through one writer that formats and writes their
-rows block by block, so its memory does not grow with the density grid;
-the bytes are those of formatting every row at once.
+count.  Both CSV files go through one writer that reads a sequence of value
+columns and formats and writes their rows block by block.  The density
+file's columns are raveled views of the density grid and its derivative
+grids, so no table is stacked from them and the writer's memory does not
+grow with the grid; the bytes are those of formatting every row at once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .bounds import (
     kl_quadratic_consistency,
 )
 from .criteria import evaluate, theorem_suites
-from .distributions import InputModel, _integer as _index, normal, sample
+from .distributions import InputModel, _integer as _index, _seed, normal, sample
 from .errors import ConfigError
 from .mclr import (
     _FD_REL_STEP,
@@ -103,8 +105,9 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {CASES}")
         if self.n_samples is None:
             self.n_samples = 20000 if self.case == "beam" else 100000
-        for name in ("n_samples", "workers", "seed"):
+        for name in ("n_samples", "workers"):
             setattr(self, name, _integer(name, getattr(self, name)))
+        self.seed = _seed(self.seed, ConfigError)
         self.perturbation_scale = _real("perturbation_scale", self.perturbation_scale)
         self.percentiles = _list("percentiles", self.percentiles)
         if self.bandwidth is not None:
@@ -117,8 +120,6 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not 0.0 < self.perturbation_scale:
             raise ConfigError("perturbation_scale must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.percentiles:
             raise ConfigError("percentiles must not be empty")
         if any(not 0.0 < p < 100.0 for p in self.percentiles):
@@ -418,33 +419,36 @@ def _fmt_all(values) -> list[str]:
 _BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray, labels: tuple[list[str], ...] = ()) -> None:
-    """One header line, then one line per row of the float ``table``.
+def _write_csv(path: Path, header: list[str], columns, labels: tuple[list[str], ...] = ()) -> None:
+    """One header line, then one line per row of ``columns``, a sequence
+    of equal-length 1-D float arrays, one per value column.
 
-    ``labels`` holds the formatted values of each axis of a grid; row r of
-    ``table`` is grid point r in C order, and its line starts with that
-    point's axis values.  Rows are formatted and written in blocks of
-    ``_BLOCK_ROWS``, each read through a slice of ``table``, so the writer's
-    memory does not grow with the table.  Every field is a float repr or a
-    header name: nothing needs quoting.
+    ``labels`` holds the formatted values of each axis of a grid; row r is
+    grid point r in C order, and its line starts with that point's axis
+    values.  Rows are formatted and written in blocks of ``_BLOCK_ROWS``,
+    each read through a slice of every column, so the writer's memory does
+    not grow with the table and no table is stacked from the columns.
+    Every field is a float repr or a header name: nothing needs quoting.
     """
     shape = tuple(map(len, labels))
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            index = np.unravel_index(np.arange(start, start + len(block)), shape) if labels else ()
-            columns = [[axis[i] for i in idx.tolist()] for axis, idx in zip(labels, index)]
-            columns += [_fmt_all(column) for column in block.T]
-            fh.writelines(f"{','.join(row)}\n" for row in zip(*columns))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [column[start : start + _BLOCK_ROWS] for column in columns]
+            index = np.unravel_index(np.arange(start, start + len(block[0])), shape) if labels else ()
+            fields = [[axis[i] for i in idx.tolist()] for axis, idx in zip(labels, index)]
+            fields += [_fmt_all(column) for column in block]
+            fh.writelines(f"{','.join(row)}\n" for row in zip(*fields))
 
 
 def write_outputs(report: dict, out_dir: str) -> list[str]:
     """Write curve.csv, density.csv and report.json; returns the paths.
 
-    Both CSV files go through :func:`_write_csv`, block by block, so
-    writing the density grid holds one block's strings and not the whole
-    file's; the bytes are those of formatting every row at once.
+    Both CSV files go through :func:`_write_csv`, block by block.  The
+    density file's value columns are raveled views of the density grid and
+    of its derivative grids, so writing it stacks no table and holds one
+    block's strings, not the whole file's; the bytes are those of
+    formatting every row at once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -458,15 +462,15 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
         keys = ("percentile", "z", "p_f", "std_err_pf", "gradient", "grad_norm_sq")
         table = np.array([np.hstack([*(row[k] for k in keys), report["tr_fy"], report["tr_fx"]]) for row in rows])
         grads = [f"grad_{name}" for name in param_names]
-        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], table)
+        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], table.T)
         written.append(str(path))
 
     if dg is not None:
         path = out / "density.csv"
         axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
-        table = np.column_stack([v.ravel() for v in (dg.density, *dg.density_grad)])
+        columns = [v.ravel() for v in (dg.density, *dg.density_grad)]
         header = axes + ["density"] + [f"d_density_{nm}" for nm in param_names]
-        _write_csv(path, header, table, labels=tuple(map(_fmt_all, dg.axes)))
+        _write_csv(path, header, columns, labels=tuple(map(_fmt_all, dg.axes)))
         written.append(str(path))
 
     path = out / "report.json"

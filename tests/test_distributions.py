@@ -63,6 +63,16 @@ def test_scored_sample_batch_refuses_a_seed_that_is_not_an_integer():
     assert ps.ScoredSampleBatch(b.draws, b.scores, b.normals, np.int64(7)).seed == 7
 
 
+def test_scored_sample_batch_refuses_a_seed_sample_would_refuse():
+    # one range check serves sample, the batch and the run configuration
+    b = ps.sample(ps.InputModel((ps.normal(0.0, 1.0),)), 4, seed=7)
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ps.ParameterDomainError, match=r"seed must be in \[0, 2\*\*64\)"):
+            ps.ScoredSampleBatch(b.draws, b.scores, b.normals, seed)
+    assert ps.ScoredSampleBatch(b.draws, b.scores, b.normals, 2**64 - 1).seed == 2**64 - 1
+    assert ps.ScoredSampleBatch(b.draws, b.scores, b.normals, 0).seed == 0
+
+
 def test_analytic_fim_values():
     f = ps.normal(1.0, 0.2).fim()
     assert np.allclose(f.matrix, np.diag([25.0, 50.0]))

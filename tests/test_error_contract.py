@@ -14,6 +14,8 @@ _BATCH = ps.sample(_MODEL, 2000, 1)
 _G = _BATCH.draws[:, 0]
 _F = ps.FisherMatrix(np.diag([25.0, 50.0]))
 _GRID = (np.linspace(0.0, 2.0, 64),)
+_CURVE = ps.sensitivity_curve(_G, _BATCH.scores, [10.0, 50.0])
+_DENSITY = ps.estimate_output_density(_G, _BATCH.scores, [0.04], _GRID)
 
 # (name, call, valid arguments by name): each call returns cleanly on its
 # valid arguments, and every argument named here is replaced by bad values
@@ -63,6 +65,23 @@ TABLE = (
         {"db": [1e-2, 1e-2], "kl": 0.004},
     ),
     ("FisherMatrix.quad_form", _F.quad_form, {"db": [1.0, 1.0]}),
+    # the public names that take objects of the package: a wrong-type
+    # stand-in for one once escaped as an AttributeError
+    ("check_sensitivity_bound", ps.check_sensitivity_bound, {"curve": _CURVE, "f_y": _F}),
+    ("info_processing_check", ps.info_processing_check, {"f_y": _F, "f_x": _F}),
+    ("estimate_kl", ps.estimate_kl, {"dg_b": _DENSITY, "dg_b_plus": _DENSITY}),
+    ("estimate_output_fim", ps.estimate_output_fim, {"dg": _DENSITY}),
+    (
+        "check_perturbation_bound(fim)",
+        lambda fim: ps.check_perturbation_bound([0.1], [0.11], [1e-3, 1e-3], fim),
+        {"fim": _F},
+    ),
+    ("kl_quadratic_consistency(fim)", lambda fim: ps.kl_quadratic_consistency(fim, [1e-2, 1e-2], 0.004), {"fim": _F}),
+    (
+        "estimate_gradient_fd(model, batch)",
+        lambda model, batch: ps.estimate_gradient_fd(_G, [0.9, 1.1], model, batch, "below"),
+        {"model": _MODEL, "batch": _BATCH},
+    ),
     # the public names that take objects, with the arrays inside them spoiled
     (
         "ScoredSampleBatch",
@@ -82,17 +101,35 @@ TABLE = (
 )
 
 
+def _is_object(value) -> bool:
+    """Whether ``value`` is an object of the package, not a number, a list,
+    a tuple of axes or an array."""
+    return not isinstance(value, (list, tuple, np.ndarray, int, float))
+
+
 def _bad(kind: str, value):
-    """A bad stand-in for ``value``, built from it: one entry NaN or +-inf,
-    no rows, one rank more or less, one row more or less, or a string."""
+    """A bad stand-in for ``value``, built from it: one entry NaN, +-inf,
+    negative or zero, every entry a bool, no rows, one rank more or less,
+    one row more or less, or a string.  A number keeps its type when made
+    negative or zero, and an object of the package is replaced by a list of
+    floats spoiled in the same way."""
     if kind == "string":
         return "x"
     if isinstance(value, tuple):  # a tuple of axes: spoil the first
         return (_bad(kind, value[0]), *value[1:])
+    if _is_object(value):
+        return _bad(kind, [1.0, 1.0])
+    if isinstance(value, (int, float)) and kind in ("negative", "zero", "bool"):
+        return {"negative": -abs(value) - 1, "zero": 0 * value, "bool": True}[kind]
     a = np.array(value, dtype=float)
     if kind in ("nan", "inf", "-inf"):
         a.flat[0] = float(kind)
         return a
+    if kind in ("negative", "zero"):
+        a.flat[0] = -abs(a.flat[0]) - 1.0 if kind == "negative" else 0.0
+        return a
+    if kind == "bool":
+        return a.astype(bool)
     if kind == "empty":
         return np.empty((0,) + a.shape[1:])
     if kind == "rank up":
@@ -104,7 +141,9 @@ def _bad(kind: str, value):
     return a[:-1] if a.ndim else a[None]  # row less
 
 
-_KINDS = ("nan", "inf", "-inf", "empty", "rank up", "rank down", "row more", "row less", "string")
+_KINDS = (
+    "nan", "inf", "-inf", "negative", "zero", "bool", "empty", "rank up", "rank down", "row more", "row less", "string"
+)
 
 
 @pytest.mark.parametrize("name, call, args", TABLE, ids=[row[0] for row in TABLE])
@@ -143,3 +182,16 @@ def test_every_kind_of_bad_value_in_one_or_all_arguments():
         for kind in _KINDS:
             for names in [[arg] for arg in args] + ([list(args)] if len(args) > 1 else []):
                 _call(call, args, dict.fromkeys(names, kind))
+
+
+_OBJECT_ROWS = [row for row in TABLE if any(map(_is_object, row[2].values()))]
+
+
+@pytest.mark.parametrize("name, call, args", _OBJECT_ROWS, ids=[row[0] for row in _OBJECT_ROWS])
+def test_wrong_type_objects_raise_contract_errors(name, call, args):
+    # a string, an array or a number where an object of the package belongs
+    # is refused by the function that owns the argument
+    for arg in [arg for arg, value in args.items() if _is_object(value)]:
+        for stand_in in ("x", np.eye(2), 1.0, _BATCH.draws):
+            with pytest.raises(ps.ContractError, match=" must be a "):
+                call(**{**args, arg: stand_in})

@@ -202,11 +202,14 @@ def _lognormal_rows(z):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(z=_BEAM_ROWS, data=st.data())
-def test_beam_ensemble_rows_independent_of_block_order_and_batch(z, data):
+@given(z=_BEAM_ROWS, bulk=st.sampled_from([0, beam_module._ROW_BLOCK]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_beam_ensemble_rows_independent_of_block_order_and_batch(z, bulk, seed, data):
     # each row's result depends only on that row: bit-identical for any
-    # row order, and when the row is evaluated alone
+    # row order, and when the row is evaluated alone.  With ``bulk`` rows
+    # more in front, a batch holds one whole row block and up to 12 rows of
+    # the next one, so the drawn rows land in either block
     cfg = BeamConfig()
+    z = np.concatenate([np.random.default_rng(seed).uniform(-4.0, 4.0, size=(bulk, 2)), np.reshape(z, (-1, 2))])
     e, rho = _lognormal_rows(z)
     ref = beam_rms_ensemble(e, rho, cfg)
     perm = np.array(data.draw(st.permutations(range(e.size))))

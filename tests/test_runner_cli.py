@@ -222,7 +222,7 @@ def test_write_csv_lines_are_float_reprs(rows, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "_BLOCK_ROWS", block)
         path = Path(tmp) / "t.csv"
-        runner._write_csv(path, ["a", "b", "c"], table)
+        runner._write_csv(path, ["a", "b", "c"], [table[:, j] for j in range(3)])
         lines = path.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
