@@ -425,13 +425,19 @@ def _lattice(values, axis, h, refine):
     width whose variance plus spacing^2 / 6 is h^2, taking off at most half
     of h^2 when the spacing is coarse.
 
-    Returns ``(taps, coordinates, lattice size)``.
+    Returns ``(taps, coordinates, lattice size)``; a width whose taps
+    cannot be formed raises :class:`ParameterDomainError`.
     """
     spacing = (axis[-1] - axis[0]) / (axis.size - 1)
     delta = spacing / refine
-    pad = int(_KERNEL_CUT * h / delta)
     width = h * math.sqrt(max(1.0 - (delta / h) ** 2 / 6.0, 0.5))
-    t = np.arange(-pad, pad + 1) * (delta / width)
+    reach = _KERNEL_CUT * float(h) / float(delta)
+    try:
+        pad = int(reach)
+        t = np.arange(-pad, pad + 1) * (delta / width)
+    except (OverflowError, ValueError, MemoryError):
+        # more taps than a float, an array or the memory holds
+        raise ParameterDomainError(f"bandwidth {h} needs {reach:.3g} kernel taps each side: the lattice cannot be formed") from None
     taps = np.exp(-0.5 * t * t) / (width * math.sqrt(2.0 * math.pi))
     return taps, (values - axis[0]) / delta + pad, (axis.size - 1) * refine + 2 * pad + 1
 
@@ -569,7 +575,10 @@ def estimate_output_density(
         raise ParameterDomainError(f"bandwidth must be positive and finite, got {bandwidth.tolist()}")
 
     if axes is None:
-        axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])
+        if not all(np.isfinite(a).all() for a in axes):
+            raise ParameterDomainError(f"bandwidth {bandwidth.tolist()} puts the grid axes beyond the largest float")
     else:
         axes = tuple(as_floats("axes", a) for a in axes)
         if len(axes) != k:

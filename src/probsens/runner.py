@@ -17,10 +17,17 @@ standard normals alone.  Results go to ``curve.csv``, ``density.csv`` and
 ``report.json``; numbers are written in shortest round-trip decimal form
 so identical configurations produce byte-identical files under any worker
 count.  Both CSV files go through one writer that reads a sequence of value
-columns and formats and writes their rows block by block.  The density
-file's columns are raveled views of the density grid and its derivative
-grids, so no table is stacked from them and the writer's memory does not
-grow with the grid; the bytes are those of formatting every row at once.
+columns and formats and writes their rows block by block.  Every CSV field
+is what ``repr(float)`` prints: the shortest decimal that reads back as the
+same double, found for a whole block at once by the Schubfach algorithm
+(R. Giulietti, "The Schubfach way to render doubles", 2020) in
+:mod:`probsens._floatfmt`, positional when ``-4 < decpt <= 16`` for the
+value ``0.d1d2... * 10**decpt`` and with an exponent of at least two digits
+otherwise; NaN, infinities and subnormals take ``repr`` itself.  The
+density file's columns are raveled views of the density grid and its
+derivative grids, so no table is stacked from them and the writer's memory
+does not grow with the grid; the bytes are those of formatting every row at
+once.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__ as _VERSION
+from . import _floatfmt
 from .bounds import (
     binomial_family,
     check_perturbation_bound,
@@ -409,46 +417,52 @@ def _run_discrete_oracle(config: RunConfig) -> dict:
     }
 
 
-def _fmt_all(values) -> list[str]:
-    """The shortest decimal that round-trips to the same float, for every
-    element in C order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+# rows formatted per write: the writer holds one block's bytes, whatever the
+# table's length; 2048-row blocks raised the beam run's resident high-water mark
+_BLOCK_ROWS = 1024
 
 
-# rows formatted per write: the writer holds one block's strings, whatever the table's length
-_BLOCK_ROWS = 4096
-
-
-def _write_csv(path: Path, header: list[str], columns, labels: tuple[list[str], ...] = ()) -> None:
+def _write_csv(path: Path, header: list[str], columns, labels: tuple[np.ndarray, ...] = ()) -> None:
     """One header line, then one line per row of ``columns``, a sequence
     of equal-length 1-D float arrays, one per value column.
 
-    ``labels`` holds the formatted values of each axis of a grid; row r is
-    grid point r in C order, and its line starts with that point's axis
-    values.  Rows are formatted and written in blocks of ``_BLOCK_ROWS``,
-    each read through a slice of every column, so the writer's memory does
-    not grow with the table and no table is stacked from the columns.
-    Every field is a float repr or a header name: nothing needs quoting.
+    ``labels`` holds the values of each axis of a grid; row r is grid point
+    r in C order, and its line starts with that point's axis values.  Every
+    number is written as ``repr(float)`` writes it, by the vectorised
+    shortest round-trip formatter of :mod:`probsens._floatfmt` (the
+    Schubfach algorithm, R. Giulietti 2020): positional when its decimal
+    point position ``decpt`` satisfies ``-4 < decpt <= 16``, otherwise
+    ``d.ddde±XX`` with at least two exponent digits; NaN, infinities and
+    subnormals take ``repr`` itself.  Each axis is formatted once; rows are
+    formatted and written in blocks of ``_BLOCK_ROWS``, each read through a
+    slice of every column and written with one ``write``, so the writer's
+    memory does not grow with the table and no table is stacked from the
+    columns.  Every field is a number or a header name: nothing needs
+    quoting.
     """
     shape = tuple(map(len, labels))
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    axes = [_floatfmt.fields(axis) for axis in labels]
+    with path.open("wb") as fh:
+        fh.write(f"{','.join(header)}\n".encode())
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [column[start : start + _BLOCK_ROWS] for column in columns]
-            index = np.unravel_index(np.arange(start, start + len(block[0])), shape) if labels else ()
-            fields = [[axis[i] for i in idx.tolist()] for axis, idx in zip(labels, index)]
-            fields += [_fmt_all(column) for column in block]
-            fh.writelines(f"{','.join(row)}\n" for row in zip(*fields))
+            values = np.stack([column[start : start + _BLOCK_ROWS] for column in columns], axis=1)
+            index = np.unravel_index(np.arange(start, start + len(values)), shape) if labels else ()
+            fh.write(_floatfmt.lines(values, list(zip(axes, index))))
 
 
 def write_outputs(report: dict, out_dir: str) -> list[str]:
     """Write curve.csv, density.csv and report.json; returns the paths.
 
-    Both CSV files go through :func:`_write_csv`, block by block.  The
-    density file's value columns are raveled views of the density grid and
-    of its derivative grids, so writing it stacks no table and holds one
-    block's strings, not the whole file's; the bytes are those of
-    formatting every row at once.
+    Both CSV files go through :func:`_write_csv`, block by block.  Every
+    field is the shortest round-trip decimal that ``repr(float)`` prints,
+    found by the Schubfach algorithm (R. Giulietti, "The Schubfach way to
+    render doubles", 2020) for a whole block at once and laid out by
+    CPython's rule: positional when ``-4 < decpt <= 16``, otherwise with an
+    exponent of at least two digits; NaN, infinities and subnormals take
+    ``repr`` itself.  The density file's value columns are raveled views of
+    the density grid and of its derivative grids, so writing it stacks no
+    table and holds one block's bytes, not the whole file's; the bytes are
+    those of formatting every row at once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -470,7 +484,7 @@ def write_outputs(report: dict, out_dir: str) -> list[str]:
         axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
         columns = [v.ravel() for v in (dg.density, *dg.density_grad)]
         header = axes + ["density"] + [f"d_density_{nm}" for nm in param_names]
-        _write_csv(path, header, columns, labels=tuple(map(_fmt_all, dg.axes)))
+        _write_csv(path, header, columns, labels=dg.axes)
         written.append(str(path))
 
     path = out / "report.json"

@@ -2,12 +2,15 @@
 call raises a ProbsensError subtype or the call returns; nothing else
 escapes."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
+from probsens.cli import main
 
 _MODEL = ps.InputModel((ps.normal(1.0, 0.2),))
 _BATCH = ps.sample(_MODEL, 2000, 1)
@@ -195,3 +198,30 @@ def test_wrong_type_objects_raise_contract_errors(name, call, args):
         for stand_in in ("x", np.eye(2), 1.0, _BATCH.draws):
             with pytest.raises(ps.ContractError, match=" must be a "):
                 call(**{**args, arg: stand_in})
+
+
+@pytest.mark.parametrize(
+    "bandwidth, axes",
+    [
+        # the default axes, 3 widths past the outputs, overflow to +-inf
+        (1e308, None),
+        (3e307, None),
+        # a fixed axis: more kernel taps than an array holds, or than memory does
+        (1e300, (np.linspace(-3.0, 3.0, 512),)),
+        (1e10, (np.linspace(-3.0, 3.0, 512),)),
+    ],
+)
+def test_a_bandwidth_without_a_lattice_is_a_domain_error(bandwidth, axes):
+    with pytest.raises(ps.ParameterDomainError, match="bandwidth"):
+        ps.estimate_output_density(_G, _BATCH.scores, bandwidth=bandwidth, axes=axes)
+
+
+def test_a_bandwidth_without_a_lattice_exits_2(tmp_path, capsys):
+    # exit 1 means a violated bound; this once escaped as a raw ValueError with exit 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 2000, "bandwidth": [1e308]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err

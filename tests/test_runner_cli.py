@@ -209,10 +209,14 @@ _EDGE_FLOATS = [
 ]
 
 
+# any 64-bit pattern: NaN (with any payload and sign), +-inf and subnormals too
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS), min_size=3, max_size=3),
+        st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS) | _BIT_PATTERNS, min_size=3, max_size=3),
         max_size=12,
     ),
     block=st.sampled_from([1, 5, runner._BLOCK_ROWS]),
@@ -227,7 +231,50 @@ def test_write_csv_lines_are_float_reprs(rows, block):
     assert lines[0] == "a,b,c"
     assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
     read_back = np.array([[float(f) for f in line.split(",")] for line in lines[1:]]).reshape(table.shape)
-    assert np.array_equal(read_back.view(np.uint64), table.view(np.uint64))
+    # every value reads back bit for bit, but a NaN's sign and payload, which repr drops
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(read_back), nan)
+    assert np.array_equal(read_back.view(np.uint64)[~nan], table.view(np.uint64)[~nan])
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def test_write_csv_matches_repr_at_the_edges_of_the_formatter():
+    # each field is the shortest round-trip decimal that repr prints: the
+    # formatter's digit search, its tables and its layout, against repr
+    rng = np.random.default_rng(24)
+    digits = [
+        float(f"{m}e{e}")
+        for n in range(1, 18)
+        for m, e in zip(rng.integers(10 ** (n - 1), 10**n, 400).tolist(), rng.integers(-330, 310, 400).tolist())
+    ]
+    values = np.concatenate(
+        [
+            # every power of two, subnormal to largest, and 10**k, with both
+            # neighbours: the spacing changes, table rows, 2**50 + 0.25 (a
+            # tie between two 17-digit candidates) and 1e-4, 1e16 and 1e+-100,
+            # where the notation and the exponent width change
+            _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+            _neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+            # 1 to 17 significant digits at any exponent
+            digits,
+            # integers near 2**53, where .0 stops being exact
+            np.arange(2**53 - 200, 2**53 + 200, dtype=np.int64).astype(float),
+            rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+            [0.0, -0.0, np.nan, np.inf, -np.inf],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    # three columns, so the blocks split lines and fields in every way
+    table = np.resize(values, (-(-values.size // 3), 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        runner._write_csv(path, ["a", "b", "c"], [table[:, j] for j in range(3)])
+        lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
