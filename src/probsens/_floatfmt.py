@@ -56,14 +56,20 @@ _M32 = (1 << 32) - 1
 _M63 = (1 << 63) - 1
 
 
-def _g(k: int) -> int:
-    """``floor(10**-k / 2**r) + 1``, with ``r`` such that it lies in [2**125, 2**126)."""
-    if k <= 0:
-        p = 10**-k
+def _g() -> list[int]:
+    """``g(k) = floor(10**-k / 2**r) + 1`` for k in [_K_MIN, _K_MAX], with
+    ``r`` such that it lies in [2**125, 2**126); the powers of ten are
+    formed once, by multiplication."""
+    powers = [1]
+    for _ in range(max(-_K_MIN, _K_MAX)):
+        powers.append(powers[-1] * 10)
+    g = []
+    for p in powers[-_K_MIN::-1]:  # 10**-k for k = _K_MIN .. 0
         r = p.bit_length() - 126
-        return (p >> r if r >= 0 else p << -r) + 1
-    m = 10**k
-    return (1 << (125 + m.bit_length())) // m + 1
+        g.append((p >> r if r >= 0 else p << -r) + 1)
+    for m in powers[1 : _K_MAX + 1]:
+        g.append((1 << (125 + m.bit_length())) // m + 1)
+    return g
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -82,7 +88,7 @@ def _tables() -> dict[str, np.ndarray]:
     # floor(log10(2**q)), or floor(log10(3/4 2**q)); floor(log2(10**-k))
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = q + ((-k * 913_124_641_741) >> 38) + 2
-    g = [_g(kk) for kk in range(_K_MIN, _K_MAX + 1)]
+    g = _g()
     g1 = np.array([x >> 63 for x in g], dtype=np.uint64)[k - _K_MIN]
     g0 = np.array([x & _M63 for x in g], dtype=np.uint64)[k - _K_MIN]
     # row 0 holds zeros, subnormals, infinities and NaN, with f = 0: decpt 1
@@ -92,9 +98,10 @@ def _tables() -> dict[str, np.ndarray]:
     ascii_digits = np.arange(10, dtype=np.uint8) + ord("0")
     first = np.tile(np.frombuffer(b"-0.0000.", dtype=np.uint8), (10, 1))
     first[:, _DIGIT] = ascii_digits
-    group = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    # the four digits of each group 0 .. 9999, most significant first
+    group = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
     groups = np.full((10_000, 8), ord("."), dtype=np.uint8)
-    groups[:, ::2] = ascii_digits[group]
+    groups[:, ::2] = group + ord("0")
     decpt = np.arange(-_DECPT, _DECPT)
     exp10 = abs(decpt - 1)
     exponents = np.tile(np.frombuffer(b"e+000,  ", dtype=np.uint8), (decpt.size, 1))
@@ -102,8 +109,8 @@ def _tables() -> dict[str, np.ndarray]:
     exponents[:, 2:5] = ascii_digits[exp10[:, None] // np.array([100, 10, 1]) % 10]
     # the position, counted from the first digit, of the last non-zero digit
     # of group g at place p (0 for g = 0) is last[p * 10_000 + g]
-    length = 4 - np.argmax(group[:, ::-1] != 0, axis=1)
-    last = np.where(np.arange(10_000) == 0, 0, np.arange(0, 16, 4)[:, None] + length)
+    length = (np.arange(1, 5, dtype=np.uint8) * (group != 0)).max(axis=1)
+    last = np.where(length == 0, 0, np.arange(0, 16, 4, dtype=np.uint8)[:, None] + length)
 
     # mask[neg, use_exp, position, n - 1, slot]; position: decpt + 3 in
     # positional notation, whether the exponent has three digits otherwise
@@ -141,9 +148,9 @@ def _tables() -> dict[str, np.ndarray]:
         "g0_hi": g0 >> 32,
         "g0_lo": g0 & _M32,
         "words": _words(np.concatenate([first, groups, exponents])),
-        "last": last.astype(np.uint8).reshape(-1),
+        "last": last.reshape(-1),
         "layout": layout,
-        "masks": _words(mask.reshape(-1, _WORDS, 8) * 0xFF),
+        "masks": _words(mask.view(np.uint8).reshape(-1, _WORDS, 8) * 0xFF),
     }
     for table in tables.values():
         table.flags.writeable = False

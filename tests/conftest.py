@@ -8,10 +8,13 @@ import pytest
 
 import probsens as ps
 from probsens import mclr
+from probsens._floatfmt import _DECPT, _DIGIT, _E, _K_MAX, _K_MIN, _M32, _M63, _POSITIONS, _SEP, _WORDS, _words
 from probsens.errors import ContractError
 from probsens.mclr import DensityGrid
+from probsens.models import beam as beam_module
+from probsens.models.beam import beam_natural_frequencies
 from probsens.rng import CHUNK, chunk_ranges, uniform_open
-from probsens.special import ndtri
+from probsens.special import DIGAMMA_ERROR, digamma, ndtri
 
 
 def normal_pdf_grid(axis: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -54,6 +57,160 @@ def pairwise_peak(num: np.ndarray, g: np.ndarray) -> np.ndarray:
             np.multiply(g[:, a, b, None], pair, out=term)
             sq += term
     return sq.max(axis=1)
+
+
+def _floatfmt_g(k: int) -> int:
+    """``floor(10**-k / 2**r) + 1``, with ``r`` such that it lies in [2**125, 2**126)."""
+    if k <= 0:
+        p = 10**-k
+        r = p.bit_length() - 126
+        return (p >> r if r >= 0 else p << -r) + 1
+    m = 10**k
+    return (1 << (125 + m.bit_length())) // m + 1
+
+
+def floatfmt_tables() -> dict[str, np.ndarray]:
+    """The tables of ``_floatfmt._tables`` as they were first built (the
+    ``g(k)`` list one power of ten at a time, the digit groups by integer
+    division): the reference for the faster construction."""
+    # row e is biased exponent e with regular spacing, row 2048 + e the
+    # irregular spacing of a power of two (below the smallest normal's)
+    q = np.tile(np.arange(2048, dtype=np.int64) - 1075, 2)
+    irregular = np.repeat(np.arange(2, dtype=np.int64), 2048)
+    # floor(log10(2**q)), or floor(log10(3/4 2**q)); floor(log2(10**-k))
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = q + ((-k * 913_124_641_741) >> 38) + 2
+    g = [_floatfmt_g(kk) for kk in range(_K_MIN, _K_MAX + 1)]
+    g1 = np.array([x >> 63 for x in g], dtype=np.uint64)[k - _K_MIN]
+    g0 = np.array([x & _M63 for x in g], dtype=np.uint64)[k - _K_MIN]
+    # row 0 holds zeros, subnormals, infinities and NaN, with f = 0: decpt 1
+    # prints a zero as 0.0, and the others take repr
+    k[0] = -15
+
+    ascii_digits = np.arange(10, dtype=np.uint8) + ord("0")
+    first = np.tile(np.frombuffer(b"-0.0000.", dtype=np.uint8), (10, 1))
+    first[:, _DIGIT] = ascii_digits
+    group = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    groups = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    groups[:, ::2] = ascii_digits[group]
+    decpt = np.arange(-_DECPT, _DECPT)
+    exp10 = abs(decpt - 1)
+    exponents = np.tile(np.frombuffer(b"e+000,  ", dtype=np.uint8), (decpt.size, 1))
+    exponents[:, 1] = np.where(decpt - 1 < 0, ord("-"), ord("+"))
+    exponents[:, 2:5] = ascii_digits[exp10[:, None] // np.array([100, 10, 1]) % 10]
+    # the position, counted from the first digit, of the last non-zero digit
+    # of group g at place p (0 for g = 0) is last[p * 10_000 + g]
+    length = 4 - np.argmax(group[:, ::-1] != 0, axis=1)
+    last = np.where(np.arange(10_000) == 0, 0, np.arange(0, 16, 4)[:, None] + length)
+
+    # mask[neg, use_exp, position, n - 1, slot]; position: decpt + 3 in
+    # positional notation, whether the exponent has three digits otherwise
+    neg, use_exp, position, n = np.ix_(range(2), range(2), range(_POSITIONS), range(1, 18))
+    j = np.arange(8 * _WORDS)
+    digit_slot = (j >= _DIGIT) & (j < _E) & (j % 2 == 0)
+    dot_slot = (j > _DIGIT) & (j < _E) & (j % 2 == 1)
+    i = (j - _DIGIT) // 2
+    point = position[..., None] - 3
+    n = n[..., None]
+    positional = (
+        ((j == 1) | (j == 2)) & (point <= 0)
+        | (j >= 3) & (j < _DIGIT) & (j - 3 < -point)
+        | digit_slot & (i < np.maximum(n, point + 1))
+        | dot_slot & (i == point - 1)
+    )
+    exponential = (
+        digit_slot & (i < n)
+        | dot_slot & (i == 0) & (n > 1)
+        | (j >= _E) & (j < _SEP) & (j != _E + 2)
+        | (j == _E + 2) & (position[..., None] == 1)
+    )
+    mask = (j == 0) & (neg[..., None] == 1) | (j == _SEP) | np.where(use_exp[..., None] == 1, exponential, positional)
+    # the part of the mask key that decpt sets: notation and position
+    use = (decpt <= -4) | (decpt > 16)
+    layout = (use * _POSITIONS + np.where(use, exp10 >= 100, decpt + 3)) * 17
+
+    return {
+        "k": k + (_DECPT + 16),
+        "h": h.astype(np.uint64),
+        "g1": g1,
+        "g0": g0,
+        "g1_hi": g1 >> 32,
+        "g1_lo": g1 & _M32,
+        "g0_hi": g0 >> 32,
+        "g0_lo": g0 & _M32,
+        "words": _words(np.concatenate([first, groups, exponents])),
+        "last": last.astype(np.uint8).reshape(-1),
+        "layout": layout,
+        "masks": _words(mask.reshape(-1, _WORDS, 8) * 0xFF),
+    }
+
+
+def per_row_cross_spectra(wr: np.ndarray, cfg):
+    """Trapezoid sums G_ab of Re[T_a conj(T_b)] weighted by 2 S_0 w^4 (acceleration)
+    and 2 S_0 (strain), for natural frequencies wr of shape (S, m), with
+    every residue and its power u_b**k formed per row: the closed form as it
+    was before ``models.beam`` kept per-configuration residue tables.
+
+    Returns ((g_acc, g_str), (e_acc, e_str)): (S, m, m) sums and, for each,
+    eps times the sum of the magnitudes of its terms, which bounds the
+    rounding error of every G_ab.
+    """
+    lo, hi = cfg.omega_span
+    n = cfg.n_freq
+    step = (hi - lo) / (n - 1)
+    zeta = cfg.modal_damping
+    wr = wr[:, :, None]
+    # the poles u of T_a in the upper half plane, (S, m, 2); the complex root
+    # keeps overdamped modes (zeta > 1) on the imaginary axis
+    u = wr * (np.sqrt(1.0 - zeta * zeta + 0j) * np.array([1.0, -1.0])) + 1j * zeta * wr
+    # trapezoid sum of 1 / (w - u) over the grid lo + i step, i < n
+    a = (lo - u) / step
+    psi_hi, psi_lo = digamma(a + n), digamma(a)
+    end_lo, end_hi = 1.0 / (lo - u), 1.0 / (hi - u)
+    trap = psi_hi - psi_lo - 0.5 * step * (end_lo + end_hi)
+    # what eps-relative rounding can move it by: the magnitudes of its parts,
+    # each digamma's own error of DIGAMMA_ERROR eps |psi|,
+    # plus (|lo - u| + |u|) times the sum of step / |w - u|^2 over the grid,
+    # for rounding of the pole u itself; that sum is at most
+    # pi / y + step / y^2 (y = Im u) and at most (hi - lo + step) / d^2 (d the
+    # distance from u to the span)
+    y = u.imag
+    gap = np.maximum(np.maximum(lo - u.real, u.real - hi), 0.0)
+    slope = np.minimum(math.pi / y + step / (y * y), (hi - lo + step) / (y * y + gap * gap))
+    size = (
+        (1.0 + DIGAMMA_ERROR) * (np.abs(psi_hi) + np.abs(psi_lo))
+        + 0.5 * step * (np.abs(end_lo) + np.abs(end_hi))
+        + (np.abs(lo - u) + np.abs(u)) * slope
+    )
+    # residue of T_a(w) T_b(-w) at u: T_b(-u) / D_a'(u), (S, m_a, 2, m_b)
+    w_b = wr[:, None, None, :, 0]
+    u_b = u[..., None]
+    res = 1.0 / (2.0 * (1j * zeta * wr - u))[..., None] / (w_b * w_b - u_b * u_b - 2j * zeta * w_b * u_b)
+    sums, errs = [], []
+    # w^4 T_a(w) T_b(-w) tends to 1 at infinity; its trapezoid sum has hi - lo more
+    for k, const in ((4, hi - lo), (0, 0.0)):
+        res_k = res * u_b**k
+        # the residues at the lower-half-plane poles of pair (a, b) are the
+        # conjugates of those at the upper poles of pair (b, a)
+        half = (res_k * trap[..., None]).sum(axis=2).real
+        terms = (np.abs(res_k) * size[..., None]).sum(axis=2)
+        sums.append(2.0 * cfg.force_psd * (half + half.transpose(0, 2, 1) + const))
+        errs.append(2.0 * cfg.force_psd * np.finfo(float).eps * (terms + terms.transpose(0, 2, 1) + const))
+    return sums, errs
+
+
+def per_row_beam_peaks(e, rho, cfg):
+    """Peak mean squares of acceleration and strain, (S, 2), and their
+    rounding bounds by the per-row closed form, all rows at once: the
+    reference for ``models.beam._block``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums, errs = per_row_cross_spectra(beam_natural_frequencies(e, rho, cfg), cfg)
+        peak, shift = [], []
+        for num, g, err in zip(beam_module._modal_tables(cfg), sums, errs):
+            reach = np.abs(num[:, :, None] * num[:, None, :]).max(axis=0)
+            peak.append(pairwise_peak(num, g))
+            shift.append((err * reach).sum(axis=(1, 2)))
+    return np.column_stack(peak), np.column_stack(shift)
 
 
 def weight_rows(weights):

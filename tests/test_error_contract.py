@@ -3,6 +3,7 @@ call raises a ProbsensError subtype or the call returns; nothing else
 escapes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,3 +226,25 @@ def test_a_bandwidth_without_a_lattice_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "call", [ps.models.beam_rms_ensemble, ps.models.beam_natural_frequencies], ids=["rms", "natural-frequencies"]
+)
+@pytest.mark.parametrize(
+    "e, rho",
+    # a NaN or infinite E or rho, and a speed sqrt(E/rho) that overflows
+    [(np.nan, 2700.0), (69e9, np.inf), (1e300, 1e-300)],
+    ids=["nan", "inf", "overflowing-speed"],
+)
+def test_beam_rows_without_a_finite_speed_are_domain_errors(call, e, rho):
+    # these once reached the closed form: the ensemble refused them as an
+    # EvaluationError with a NaN rounding bound, and the natural
+    # frequencies came back NaN, infinite or zero
+    with pytest.raises(ps.ParameterDomainError, match=re.escape(f"row 1 has E={e!r}, rho={rho!r}")):
+        call(np.array([69e9, e]), np.array([2700.0, rho]), ps.models.BeamConfig())
+
+
+def test_beam_frequencies_of_shapes_that_do_not_broadcast_are_contract_errors():
+    with pytest.raises(ps.ContractError, match="do not broadcast"):
+        ps.models.beam_natural_frequencies([69e9, 70e9], [2700.0, 2700.0, 2700.0], ps.models.BeamConfig())

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
-from conftest import peak_bytes
+from conftest import floatfmt_tables, peak_bytes
 from probsens.mclr import DensityGrid
 from probsens.cli import main
-from probsens import cli, criteria, runner
+from probsens import _floatfmt, cli, criteria, runner
 from probsens.runner import RunConfig, run, run_case, verify, write_outputs
 
 FAST = dict(n_samples=4000, percentiles=list(range(10, 100, 10)))
@@ -275,6 +275,17 @@ def test_write_csv_matches_repr_at_the_edges_of_the_formatter():
         runner._write_csv(path, ["a", "b", "c"], [table[:, j] for j in range(3)])
         lines = path.read_text().splitlines()
     assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def test_formatter_tables_match_their_first_construction():
+    # the faster build of the formatter's tables gives every table, its
+    # dtype and shape, as the construction kept in conftest
+    tables, ref = _floatfmt._tables(), floatfmt_tables()
+    assert tables.keys() == ref.keys()
+    for name, table in ref.items():
+        assert tables[name].dtype == table.dtype, name
+        assert np.array_equal(tables[name], table), name
+        assert not tables[name].flags.writeable, name
 
 
 def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
