@@ -30,8 +30,6 @@ def _load_config(args, **defaults) -> RunConfig:
         data["n_samples"] = args.samples
     if args.out is not None:
         data["out_dir"] = args.out
-    if args.workers is not None:
-        data["workers"] = args.workers
     return RunConfig.from_dict(data)
 
 
@@ -66,13 +64,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, metavar="N")
     p.add_argument("--samples", type=int, metavar="N")
     p.add_argument("--out", metavar="DIR", help="output directory for csv/json files")
-    p.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="threads for the forward map, the only stage that runs in parallel, over fixed "
-        "4096-row chunks: fewer than 4097 samples start no thread; outputs never depend on N",
-    )
 
 
 def main(argv=None) -> int:

@@ -262,7 +262,10 @@ def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     n, seed = _integer("sample count", n), _seed(seed)
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n}")
-    normals = np.empty((n, model.n_inputs))
+    try:
+        normals = np.empty((n, model.n_inputs))
+    except (ValueError, MemoryError):  # numpy's "too big" and "cannot allocate"
+        raise ParameterDomainError(f"sample count {n} is too large: its batch cannot be allocated") from None
     for j in range(model.n_inputs):
         for start, stop in chunk_ranges(n, _INVERSION_CHUNK):
             normals[start:stop, j] = ndtri(uniform_open(seed, j, start, stop - start))

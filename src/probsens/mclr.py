@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import InputModel, ScoredSampleBatch, _integer
+from .distributions import InputModel, ScoredSampleBatch
 from .errors import ContractError, EvaluationError, ParameterDomainError, as_floats, expect
 from .fisher import FisherMatrix
 from .rng import CHUNK, chunk_ranges
@@ -92,42 +92,21 @@ class SensitivityResult:
         return self.z.size
 
 
-def evaluate_outputs(
-    h: Callable[[np.ndarray], np.ndarray],
-    draws: np.ndarray,
-    workers: int = 1,
-) -> np.ndarray:
+def evaluate_outputs(h: Callable[[np.ndarray], np.ndarray], draws: np.ndarray) -> np.ndarray:
     """Apply the forward map h to every draw, in fixed chunks of ``CHUNK`` rows.
 
-    The chunk partition is constant, so worker count never changes the
-    result.  Non-finite outputs are reported with the offending draw index.
-    ``draws`` is an (N, inputs) matrix with N >= 1, and ``workers`` a
-    thread count >= 1.
+    Non-finite outputs are reported with the offending draw index.
+    ``draws`` is an (N, inputs) matrix with N >= 1.
     """
     draws = as_floats("draws", draws)
     if draws.ndim != 2 or draws.shape[0] == 0:
         raise ContractError(f"draws must be an (N, inputs) matrix with N >= 1, got shape {draws.shape}")
-    workers = _integer("workers", workers)
-    if workers < 1:
-        raise ParameterDomainError(f"workers must be >= 1, got {workers}")
-    ranges = chunk_ranges(draws.shape[0], CHUNK)
-
-    def one(rng):
-        start, stop = rng
+    parts = []
+    for start, stop in chunk_ranges(draws.shape[0], CHUNK):
         try:
-            out = np.asarray(h(draws[start:stop]), dtype=float)
+            parts.append(np.asarray(h(draws[start:stop]), dtype=float))
         except Exception as exc:  # noqa: BLE001 - annotate with draw range
             raise EvaluationError(f"forward map failed on draws [{start}, {stop}): {exc}") from exc
-        return out
-
-    if workers > 1 and len(ranges) > 1:
-        # imported here: a run with one worker or one chunk starts no thread
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, ranges))
-    else:
-        parts = [one(r) for r in ranges]
     outputs = np.concatenate(parts, axis=0)
     bad = ~np.all(np.isfinite(np.atleast_2d(outputs.T)), axis=0)
     if np.any(bad):

@@ -38,7 +38,7 @@ def uniform_open(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def chunk_ranges(n: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
-    """Fixed [start, stop) partition of range(n); independent of worker count."""
+    """Fixed [start, stop) partition of range(n) into ``chunk``-row pieces; the last may be shorter."""
     if chunk % 4 != 0:
         raise ValueError(f"chunk size must be a multiple of 4, got {chunk}")
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]

@@ -15,10 +15,10 @@ sweep and the finite-difference check, which run back to back; the outputs
 and the scores after the base density.  The perturbation loop reads the
 standard normals alone.  Results go to ``curve.csv``, ``density.csv`` and
 ``report.json``; numbers are written in shortest round-trip decimal form
-so identical configurations produce byte-identical files under any worker
-count.  Both CSV files go through one writer that reads a sequence of value
-columns and formats and writes their rows block by block.  Every CSV field
-is what ``repr(float)`` prints: the shortest decimal that reads back as the
+so identical configurations produce byte-identical files.  Both CSV files
+go through one writer that reads a sequence of value columns and formats
+and writes their rows block by block.  Every CSV field is what
+``repr(float)`` prints: the shortest decimal that reads back as the
 same double, found for a whole block at once by the Schubfach algorithm
 (R. Giulietti, "The Schubfach way to render doubles", 2020) in
 :mod:`probsens._floatfmt`, positional when ``-4 < decpt <= 16`` for the
@@ -106,15 +106,13 @@ class RunConfig:
     bandwidth: list | None = None
     oracle: dict = field(default_factory=dict)
     out_dir: str | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {CASES}")
         if self.n_samples is None:
             self.n_samples = 20000 if self.case == "beam" else 100000
-        for name in ("n_samples", "workers"):
-            setattr(self, name, _integer(name, getattr(self, name)))
+        self.n_samples = _integer("n_samples", self.n_samples)
         self.seed = _seed(self.seed, ConfigError)
         self.perturbation_scale = _real("perturbation_scale", self.perturbation_scale)
         self.percentiles = _list("percentiles", self.percentiles)
@@ -124,8 +122,6 @@ class RunConfig:
                 raise ConfigError(f"bandwidth must be a non-empty list of positive finite widths, got {self.bandwidth}")
         if self.case != "discrete-oracle" and self.n_samples < 1000:
             raise ConfigError("n_samples must be >= 1000 (density estimation needs it)")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not 0.0 < self.perturbation_scale:
             raise ConfigError("perturbation_scale must be positive")
         if not self.percentiles:
@@ -158,12 +154,10 @@ class RunConfig:
         return asdict(self)
 
     def provenance_dict(self) -> dict:
-        """Config echo without delivery knobs (out_dir, workers): those cannot
-        change any computed value, and reports must be byte-identical across
-        worker counts."""
+        """Config echo without the output directory, which cannot change any
+        computed value: reports are byte-identical wherever they are written."""
         d = self.to_dict()
         d.pop("out_dir")
-        d.pop("workers")
         return d
 
 
@@ -248,7 +242,7 @@ def run_case(config: RunConfig) -> dict:
         "std_err": [float(c.std(ddof=1)) / math.sqrt(n) for c in batch.scores.T],
     }
     # evaluate_outputs returns a fresh array: normalise it in place
-    y = evaluate_outputs(case.h, batch.draws, workers=config.workers)
+    y = evaluate_outputs(case.h, batch.draws)
     scale = case.scale(y)
     y /= scale
     gvals = case.g(y)
@@ -295,7 +289,7 @@ def run_case(config: RunConfig) -> dict:
     kl_block = None
     for db, shifted, (quad_fx, quad_fy) in zip(dbs, shifted_models, quads):
         draws_p = shifted.from_standard(normals)
-        y_p = evaluate_outputs(case.h, draws_p, workers=config.workers)
+        y_p = evaluate_outputs(case.h, draws_p)
         y_p /= scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
         rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)

@@ -32,11 +32,7 @@ TABLE = (
         {"b": [0.5], "db": [1e-3], "sets": [[1, 0, 1]]},
     ),
     ("discrete_kl", ps.discrete_kl, {"p": [0.5, 0.5], "q": [0.4, 0.6]}),
-    (
-        "evaluate_outputs",
-        lambda draws, workers: ps.evaluate_outputs(lambda x: x[:, 0], draws, workers),
-        {"draws": _BATCH.draws, "workers": 2},
-    ),
+    ("evaluate_outputs", lambda draws: ps.evaluate_outputs(lambda x: x[:, 0], draws), {"draws": _BATCH.draws}),
     (
         "estimate_output_density",
         ps.estimate_output_density,
@@ -226,6 +222,26 @@ def test_a_bandwidth_without_a_lattice_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+# counts past what an array can hold, so both are refused before anything
+# is allocated; a count that memory merely lacks room for is not tested, as
+# whether it allocates depends on the machine's overcommit policy
+@pytest.mark.parametrize("n", [10**20, 2**62], ids=["1e20", "2**62"])
+def test_an_unallocatable_sample_count_is_a_domain_error(n):
+    # these once escaped as numpy's ValueError ("Maximum allowed dimension
+    # exceeded", "array is too big")
+    with pytest.raises(ps.ParameterDomainError, match="sample count"):
+        ps.sample(_MODEL, n, 1)
+
+
+def test_an_unallocatable_sample_count_exits_2(tmp_path, capsys):
+    # this once escaped the CLI with exit 1, the code of a violated bound
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--case", "identity", "--samples", str(10**20), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "sample count" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -154,12 +154,6 @@ def test_evaluate_outputs_input_contracts():
     h = lambda x: x[:, 0]  # noqa: E731
     with pytest.raises(ps.ContractError, match="N >= 1"):
         ps.evaluate_outputs(h, np.empty((0, 1)))
-    # a thread count, as the CLI's --workers: no zero, no fraction
-    draws = np.ones((3, 1))
-    for workers in (0, -1, 2.5, True):
-        with pytest.raises(ps.ParameterDomainError, match="workers"):
-            ps.evaluate_outputs(h, draws, workers=workers)
-    assert ps.evaluate_outputs(h, draws, workers=np.int64(2)).tolist() == [1.0] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def test_config_rejects_unknown_keys():
             RunConfig.from_dict({"case": "beam", key: value})
 
 
-def test_config_has_nine_settable_values():
-    # eight fields set directly, and the oracle's one key
+def test_config_has_eight_settable_values():
+    # seven fields set directly, and the oracle's one key
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
         "case",
         "n_samples",
@@ -49,7 +49,6 @@ def test_config_has_nine_settable_values():
         "bandwidth",
         "oracle",
         "out_dir",
-        "workers",
     ]
     assert RunConfig(case="discrete-oracle", oracle={"n_trials": 9}).oracle == {"n_trials": 9}
 
@@ -61,10 +60,8 @@ def test_config_validation():
         RunConfig(case="identity", percentiles=[0.0])
     with pytest.raises(ps.ConfigError):
         RunConfig(case="identity", n_samples=500)  # too small for density grids
-    with pytest.raises(ps.ConfigError):
-        RunConfig(case="identity", workers=0)
     # no silent truncation of a fractional count, no raw TypeError for a string
-    for key, bad in (("n_samples", 4000.5), ("n_samples", "4000"), ("workers", 1.5), ("workers", "2")):
+    for key, bad in (("n_samples", 4000.5), ("n_samples", "4000")):
         with pytest.raises(ps.ConfigError, match=f"{key} must be an integer"):
             RunConfig(case="identity", **{key: bad})
     assert RunConfig(case="identity", n_samples=np.int64(4000)).to_dict()["n_samples"] == 4000
@@ -140,12 +137,12 @@ def test_identity_run_report_content(tmp_path):
     assert header[-3:] == ["grad_norm_sq", "tr_fy", "tr_fx"]
 
 
-def test_reproducibility_across_runs_and_workers(tmp_path):
+def test_reproducibility_across_runs(tmp_path):
     outs = []
-    # 8193 samples make three CHUNK-row chunks, so workers=3 starts threads
-    for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+    # 8193 samples make three CHUNK-row chunks of the forward map
+    for name in ("a", "b", "c"):
         d = tmp_path / name
-        cfg = RunConfig(case="identity", out_dir=str(d), workers=workers, **{**FAST, "n_samples": 8193})
+        cfg = RunConfig(case="identity", out_dir=str(d), **{**FAST, "n_samples": 8193})
         run(cfg)
         outs.append(d)
     ref_curve = (outs[0] / "curve.csv").read_bytes()
@@ -587,11 +584,12 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         {"perturbations": [[0.002, 0.0]]},
         {"case": "discrete-oracle", "oracle": {"thetas": [0.5]}},
         {"case": "discrete-oracle", "oracle": {"dtheta": 1e-3}},
+        # a worker count: the forward map has one serial path
+        {"workers": 2},
         # an output Fisher information that is infinite or NaN
         {"n_samples": 2000, "bandwidth": [1e300]},
         # JSON booleans are not numbers
         {"seed": True},
-        {"workers": True},
         {"perturbation_scale": True},
         {"percentiles": [True, 50]},
         {"bandwidth": [True]},
@@ -603,10 +601,12 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         assert exc.value.code == 2, bad
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err, bad
-    # a config file that cannot be read, an output directory that cannot be made
+    # a config file that cannot be read, an output directory that cannot be
+    # made, a worker count on the command line
     unreadable = ["--config", str(tmp_path / "missing.json")]
     unwritable = ["--case", "discrete-oracle", "--out", str(cfg_path / "d")]
-    for argv in (unreadable, unwritable):
+    workers = ["--case", "identity", "--workers", "2"]
+    for argv in (unreadable, unwritable, workers):
         with pytest.raises(SystemExit) as exc:
             main(["run", *argv])
         assert exc.value.code == 2, argv

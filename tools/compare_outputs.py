@@ -6,16 +6,15 @@ OLD_SRC and NEW_SRC are directories that hold the ``probsens`` package,
 such as the ``src`` directory of two checkouts.  For each tree,
 ``probsens run`` runs in a subprocess of its own for every case of
 ``CASES`` (the shipped case studies at their defaults and at the
-perfbench workloads' settings), at each seed of ``SEEDS`` and with
-``--workers`` 1 and 2, writing its files to a temporary directory.
+perfbench workloads' settings) and at each seed of ``SEEDS``, writing
+its files to a temporary directory.
 
 For each run it prints both exit codes and, for each file, whether the two
 trees wrote the same bytes.  For a CSV file that differs it prints the
 largest relative difference of each column, |a - b| / max(|a|, |b|); for
 report.json, the largest relative difference among its numbers and how many
-of its true/false values (each certified bound's verdict) differ.  Then,
-per tree, whether ``--workers`` 1 and 2 wrote the same bytes.  The last
-line counts the runs whose files and exit codes all match; the exit status
+of its true/false values (each certified bound's verdict) differ.  The
+last line counts the runs whose files and exit codes all match; the exit status
 is 0 when all do and 1 otherwise.
 
 Every subprocess runs with one BLAS thread; ``--jobs`` runs that many
@@ -46,18 +45,17 @@ CASES = {
     "oracle-9": {"case": "discrete-oracle", "oracle": {"n_trials": 9}},
 }
 SEEDS = (1, 7, 5150)
-WORKERS = (1, 2)
 FILES = ("curve.csv", "density.csv", "report.json")
 
 
-def _run(src: Path, case: str, seed: int, workers: int, out: Path) -> int:
+def _run(src: Path, case: str, seed: int, out: Path) -> int:
     """One ``probsens run`` of ``case`` from the tree ``src``; its exit code."""
     out.mkdir(parents=True)
     config = out / "config.json"
     config.write_text(json.dumps(CASES[case]))
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [sys.executable, "-m", "probsens.cli", "run", "--config", str(config)]
-    argv += ["--seed", str(seed), "--workers", str(workers), "--out", str(out)]
+    argv += ["--seed", str(seed), "--out", str(out)]
     return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
@@ -120,12 +118,12 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "probsens" / "__init__.py").is_file():
             parser.error(f"{tree} holds no probsens package")
-    runs = list(itertools.product(CASES, SEEDS, WORKERS))
+    runs = list(itertools.product(CASES, SEEDS))
 
     with tempfile.TemporaryDirectory() as tmp:
 
-        def out(tree, case, seed, workers):
-            return Path(tmp) / tree / f"{case}-s{seed}-w{workers}"
+        def out(tree, case, seed):
+            return Path(tmp) / tree / f"{case}-s{seed}"
 
         with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
             futures = {
@@ -136,13 +134,13 @@ def main(argv=None) -> int:
             codes = {key: future.result() for key, future in futures.items()}
 
         matching = 0
-        for case, seed, workers in runs:
-            old, new = out("old", case, seed, workers), out("new", case, seed, workers)
-            code_old, code_new = codes["old", case, seed, workers], codes["new", case, seed, workers]
+        for case, seed in runs:
+            old, new = out("old", case, seed), out("new", case, seed)
+            code_old, code_new = codes["old", case, seed], codes["new", case, seed]
             differ = _differing_files(old, new)
             matching += code_old == code_new and not differ
             same = "same" if code_old == code_new else "DIFFER"
-            print(f"{case} seed {seed} workers {workers}: exit {code_old} | {code_new} ({same})")
+            print(f"{case} seed {seed}: exit {code_old} | {code_new} ({same})")
             for name in FILES:
                 if not (old / name).exists() and not (new / name).exists():
                     continue
@@ -155,13 +153,6 @@ def main(argv=None) -> int:
                     print(f"  {name}: bytes differ; largest relative difference per column: {columns}")
                 else:
                     print(f"  {name}: bytes differ; {_json_difference(old / name, new / name)}")
-        for tree in trees:
-            for case, seed in itertools.product(CASES, SEEDS):
-                one, two = (out(tree, case, seed, w) for w in WORKERS)
-                differ = _differing_files(one, two)
-                if differ or codes[tree, case, seed, WORKERS[0]] != codes[tree, case, seed, WORKERS[1]]:
-                    print(f"{tree}: {case} seed {seed}: workers 1 and 2 differ in {differ or 'exit code'}")
-            print(f"{tree}: workers {WORKERS} compared on every case and seed")
     print(f"{matching} of {len(runs)} runs wrote the same bytes with the same exit code in both trees")
     return 0 if matching == len(runs) else 1
 
