@@ -67,6 +67,9 @@ _GRID_POINTS = {1: 512, 2: 256}
 # estimate_output_density for the measured error and cost.
 _REFINE = {1: 16, 2: 2}
 _KERNEL_CUT = 8.0
+# axis nodes per kernel strip of the 2-D smoothing (_smooth); of 16 to 256,
+# 32 smooths the beam grid fastest, and fewer hold less but run slower
+_STRIP = 32
 
 # step of estimate_gradient_fd's central differences, relative to each parameter's scale
 _FD_REL_STEP = 1e-2
@@ -469,22 +472,34 @@ def _linear_bin(coords, shape, scores, centre):
         del out
 
 
-def _kernel_matrix(taps, refine, n_nodes, lo, hi) -> np.ndarray:
-    """Taps between every axis node (rows) and lattice nodes lo..hi-1 (columns).
+def _smooth(lattices, sums, taps, refine, blocks):
+    """``sums[j] = K0 @ lattice j @ K1.T`` into the zeroed ``sums``, K being
+    the taps between an axis's nodes and its lattice nodes lo..hi-1.
 
-    Entry (i, c) is ``taps[lo + c - refine * i]`` where that index lies in
-    the taps, and 0.0 elsewhere.  Row i is the tap window centred on axis
-    node i, which starts at column ``refine * i - lo``; each row's part of
-    it that falls in the block is copied into a zeroed matrix, so nothing
-    but the matrix is formed.
+    Node i reads the taps.size lattice nodes from ``refine * i``, so K's
+    rows for every ``_STRIP`` consecutive nodes are one Toeplitz strip,
+    built once per axis and cut to the block's columns.  Each axis-0 strip
+    multiplies only the lattice rows it reads, each axis-1 tile of that
+    only the columns it reads, into ``sums[j]``; a tile whose windows miss
+    the block stays +0.0.
     """
-    out = np.zeros((n_nodes, hi - lo))
-    for i, row in enumerate(out):
-        first = refine * i - lo
-        start, stop = max(first, 0), min(first + taps.size, hi - lo)
-        if start < stop:
-            row[start:stop] = taps[start - first : stop - first]
-    return out
+    bands = [[], []]
+    for band, t, n_nodes, (lo, hi) in zip(bands, taps, sums.shape[1:], blocks):
+        strip = np.zeros((_STRIP, refine * (_STRIP - 1) + t.size))
+        for i, row in enumerate(strip):
+            row[refine * i : refine * i + t.size] = t
+        for first in range(0, n_nodes, _STRIP):
+            rows, start = min(_STRIP, n_nodes - first), refine * first
+            a, b = max(start, lo), min(start + refine * (rows - 1) + t.size, hi)
+            if a < b:
+                band.append((slice(first, first + rows), strip[:rows, a - start : b - start], slice(a - lo, b - lo)))
+    for out in sums:
+        cells = next(lattices)
+        for nodes0, k0, cells0 in bands[0]:
+            part = k0 @ cells[cells0]
+            for nodes1, k1, cells1 in bands[1]:
+                np.matmul(part[:, cells1], k1.T, out=out[nodes0, nodes1])
+        del cells  # before the next lattice is allocated
 
 
 def estimate_output_density(
@@ -505,11 +520,12 @@ def estimate_output_density(
     1-D, 2 in 2-D) and aligned with them.  The Gaussian sampled on that
     lattice, at the width that makes up for the variance the binning adds
     (:func:`_lattice`), and cut at 8 widths, is then applied once per axis,
-    at the axis nodes only: through strided windows in 1-D, and as two
-    matrix products in 2-D, where only the block of lattice nodes that
-    holds rows is formed.  The lattice spans the axes plus 8 widths on each
-    side, so rows beyond it, such as far outliers from a fixed grid, are
-    dropped and cannot grow memory.
+    at the axis nodes only: through strided windows in 1-D, and in 2-D
+    through one banded Toeplitz strip per axis (:func:`_smooth`), on only
+    the block of lattice nodes that holds rows, each strip of axis nodes
+    reading only the lattice nodes its windows reach.  The lattice spans
+    the axes plus 8 widths on each side, so rows beyond it, such as far
+    outliers from a fixed grid, are dropped and cannot grow memory.
 
     Against the exact kernel sum (kept in the tests) on the shipped cases
     at seeds 1, 7 and 141, on the base and the perturbed grid: the 1-D
@@ -574,7 +590,7 @@ def estimate_output_density(
     if not inside.all():
         coords = [u[inside] for u in coords]
         scores = scores[inside]
-    sums = np.empty((scores.shape[1] + 1,) + tuple(a.size for a in axes))
+    sums = np.zeros((scores.shape[1] + 1,) + tuple(a.size for a in axes))
     if k == 1:
         for out, cells in zip(sums, _linear_bin(coords, sizes, scores, centre)):
             # the 2 pad + 1 lattice nodes around each axis node, read in place:
@@ -582,12 +598,8 @@ def estimate_output_density(
             out[:] = sliding_window_view(cells, taps[0].size)[::refine] @ taps[0]
     else:
         blocks = [_block(u, size) for u, size in zip(coords, sizes)]
-        k0, k1 = (_kernel_matrix(t, refine, a.size, lo, hi) for t, a, (lo, hi) in zip(taps, axes, blocks))
-        lattice = iter(_linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], scores, centre))
-        for out in sums:
-            cells = next(lattice)
-            out[:] = k0 @ cells @ k1.T
-            del cells  # before the next lattice is allocated
+        lattices = iter(_linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], scores, centre))
+        _smooth(lattices, sums, taps, refine, blocks)
     sums /= n
     return DensityGrid(axes=axes, density=sums[0], density_grad=sums[1:], bandwidth=bandwidth)
 

@@ -228,8 +228,8 @@ def test_gradient_fd_memory_does_not_grow_with_the_parameters():
 def test_two_dimensional_density_holds_one_lattice():
     # the KL batch of the beam at 2000 samples, on its base grid: each of
     # its five weight columns bins onto a 2.65 MB lattice.  Holding the
-    # previous lattice while the next is filled traced 10.56 MB; one at a
-    # time, 9.55 MB
+    # previous lattice while the next is filled traced 8.60 MB; one at a
+    # time, 5.95 MB
     case = runner.build_case(runner.RunConfig(case="beam", n_samples=2000))
     batch = ps.sample(case.model, 2000, 1)
     outputs = mclr.evaluate_outputs(case.h, batch.draws)
@@ -238,4 +238,4 @@ def test_two_dimensional_density_holds_one_lattice():
     shifted = case.model.shifted(0.2 * case.model.param_scales())
     draws_p = shifted.from_standard(batch.normals)
     y_p, scores_p = mclr.evaluate_outputs(case.h, draws_p) / scale, shifted.scores(draws_p)
-    assert peak_bytes(lambda: mclr.estimate_output_density(y_p, scores_p, bandwidth=dg.bandwidth, axes=dg.axes)) < 10e6
+    assert peak_bytes(lambda: mclr.estimate_output_density(y_p, scores_p, bandwidth=dg.bandwidth, axes=dg.axes)) < 7e6

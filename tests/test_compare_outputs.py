@@ -30,9 +30,11 @@ def test_a_tree_matches_itself(monkeypatch, capsys):
 def test_differences_per_column_and_in_the_report(tmp_path):
     tool = _load()
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-    old.write_text("a,b\n1.0,0.0\n2.0,nan\n")
-    new.write_text("a,b\n1.0,0.0\n2.5,nan\n")
-    assert tool._csv_difference(old, new) == "a 0.2, b 0"
+    old.write_text("a,b,c\n1.0,0.0,10.0\n2.0,nan,1e-9\n")
+    new.write_text("a,b,c\n1.0,0.0,10.0\n2.5,nan,2e-9\n")
+    # per value / relative to the column's largest |value|: c's tail value
+    # doubles, but moves by 1e-10 of the column's peak
+    assert tool._csv_difference(old, new) == "a 0.2 / 0.2, b 0 / 0, c 0.5 / 1e-10"
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps({"x": [1.0, True], "ok": True}))
     new.write_text(json.dumps({"x": [1.0 + 1e-12, True], "ok": False}))

@@ -1,14 +1,16 @@
 """The grid forms that bound the working set against the whole-array forms
-they replaced, bit for bit.
+they replaced.
 
-``mclr._kernel_matrix`` copies each axis node's tap window into a zeroed
-matrix; the index formula it replaced, which built offset, mask and gather
-arrays the size of the matrix, is kept here as its reference.
-``estimate_output_fim`` and ``estimate_kl`` form their grid products in
-reused buffers; the plain expressions they replaced are the references.
-Equal arrays must also agree in the sign of every zero.
+``mclr._smooth`` applies the 2-D kernel to a lattice block through one
+banded strip per axis; the dense kernel matrices it replaced, built from
+an index formula, are kept here as its reference, and the two products
+agree within their rounding bound.  ``estimate_output_fim`` and
+``estimate_kl`` form their grid products in reused buffers; the plain
+expressions they replaced are the references, bit for bit.  Equal arrays
+must also agree in the sign of every zero.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probsens as ps
-from probsens.mclr import DENSITY_FLOOR, _kernel_matrix
+from conftest import peak_bytes
+from probsens import mclr, runner
+from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _smooth
 
 
 def _same_bits(a, b) -> bool:
@@ -33,25 +37,60 @@ def index_kernel_matrix(taps, refine, n_nodes, lo, hi):
 
 
 @st.composite
-def kernel_blocks(draw):
-    """Taps (signed zeros among them), a refinement, a node count, and a
-    block [lo, hi) of the lattice those nodes' windows span, so that a
-    block may cut the windows at either end or hold whole ones."""
-    size = draw(st.integers(1, 41))
-    taps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(size)
-    taps[:: draw(st.integers(2, 5))] = draw(st.sampled_from([0.0, -0.0]))
-    refine = draw(st.integers(1, 16))
-    n_nodes = draw(st.integers(1, 20))
-    lattice = (n_nodes - 1) * refine + size
-    lo = draw(st.integers(0, lattice - 1))
-    hi = draw(st.integers(lo + 1, lattice))
-    return taps, refine, n_nodes, lo, hi
+def lattice_blocks(draw):
+    """Per axis: taps, a node count (below, at and above multiples of
+    ``_STRIP``) and a block [lo, hi) of the lattice its windows span, which
+    may cut the windows at either end or miss some of them wholly; one
+    refinement; and random lattice values on the block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refine = draw(st.integers(1, 4))
+    axes = []
+    for _ in range(2):
+        taps = rng.random(draw(st.integers(1, 41)))
+        n_nodes = draw(st.sampled_from([1, 2, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP, 2 * _STRIP + 7]))
+        lattice = (n_nodes - 1) * refine + taps.size
+        lo = draw(st.integers(0, lattice - 1))
+        axes.append((taps, n_nodes, lo, draw(st.integers(lo + 1, lattice))))
+    cells = rng.standard_normal(tuple(hi - lo for _, _, lo, hi in axes))
+    return cells, refine, axes
 
 
 @settings(max_examples=300, deadline=None)
-@given(kernel_blocks())
-def test_kernel_matrix_matches_index_formula(block):
-    assert _same_bits(_kernel_matrix(*block), index_kernel_matrix(*block))
+@given(lattice_blocks())
+def test_banded_smoothing_matches_dense_kernel_matrices(block):
+    # Either product of a sum of m terms is within gamma_m = m u / (1 - m u)
+    # of |K0| |cells| |K1|^T (u = 2^-53) per product, whatever the order of
+    # the terms (Higham, Accuracy and Stability, 3.5), and m is at most the
+    # block's width on that axis: so the two differ by at most
+    # 2 (gamma_w0 + gamma_w1 + gamma_w0 gamma_w1) |K0| |cells| |K1|^T, below
+    # (w0 + w1) 2^-51 times it.  Where a node's window misses the block both
+    # read exact +0.0.
+    cells, refine, axes = block
+    out = np.zeros((1, axes[0][1], axes[1][1]))
+    _smooth(iter([cells]), out, [taps for taps, *_ in axes], refine, [(lo, hi) for *_, lo, hi in axes])
+    k0, k1 = (index_kernel_matrix(taps, refine, n_nodes, lo, hi) for taps, n_nodes, lo, hi in axes)
+    scale = np.abs(k0) @ np.abs(cells) @ np.abs(k1).T
+    assert np.all(np.abs(out[0] - k0 @ cells @ k1.T) <= sum(cells.shape) * 2.0**-51 * scale)
+    missed = [~k.any(axis=1) for k in (k0, k1)]
+    assert not np.any(out[0][missed[0]]) and not np.signbit(out[0][missed[0]]).any()
+    assert not np.any(out[0][:, missed[1]]) and not np.signbit(out[0][:, missed[1]]).any()
+
+
+def test_two_dimensional_smoothing_holds_no_kernel_matrix():
+    # the beam's base density at 2000 samples, seed 1: its five grid sums
+    # (2.62 MB) and one lattice block (427 x 429, 1.47 MB) are held at once;
+    # the rest, binning temporaries and one strip's product, traced 0.55 MB
+    # (4.63 MB in all).  One axis-nodes x block kernel matrix (256 x 429,
+    # 0.88 MB) breaks the bound
+    case = runner.build_case(runner.RunConfig(case="beam", n_samples=2000))
+    batch = ps.sample(case.model, 2000, 1)
+    outputs = mclr.evaluate_outputs(case.h, batch.draws)
+    y = outputs / case.scale(outputs)
+    dg = mclr.estimate_output_density(y, batch.scores)
+    sums = dg.density.nbytes + dg.density_grad.nbytes
+    _, coords, sizes = zip(*(_lattice(v, a, h, _REFINE[2]) for v, a, h in zip(y.T, dg.axes, dg.bandwidth)))
+    lattice = 8 * math.prod(hi - lo for lo, hi in map(_block, coords, sizes))
+    assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + lattice + 0.7e6
 
 
 def plain_fim(dg):

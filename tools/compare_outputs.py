@@ -10,12 +10,15 @@ perfbench workloads' settings) and at each seed of ``SEEDS``, writing
 its files to a temporary directory.
 
 For each run it prints both exit codes and, for each file, whether the two
-trees wrote the same bytes.  For a CSV file that differs it prints the
-largest relative difference of each column, |a - b| / max(|a|, |b|); for
-report.json, the largest relative difference among its numbers and how many
-of its true/false values (each certified bound's verdict) differ.  The
-last line counts the runs whose files and exit codes all match; the exit status
-is 0 when all do and 1 otherwise.
+trees wrote the same bytes.  For a CSV file that differs it prints two
+figures for each column: the largest relative difference per value,
+|a - b| / max(|a|, |b|), and the largest |a - b| relative to the column's
+largest |value| in either file, which stays small where values near zero
+move by a large share of themselves.  For report.json it prints the
+largest relative difference among its numbers and how many of its
+true/false values (each certified bound's verdict) differ.  The last line
+counts the runs whose files and exit codes all match; the exit status is 0
+when all do and 1 otherwise.
 
 Every subprocess runs with one BLAS thread; ``--jobs`` runs that many
 subprocesses at once (default 1).
@@ -67,13 +70,22 @@ def _relative(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.where(same, 0.0, rel), initial=0.0))
 
 
+def _peak_relative(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |a - b| over the largest |value| in a or b; 0 where both are equal, NaN included."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    diff = np.max(np.where(same, 0.0, np.abs(a - b)), initial=0.0)
+    return float(diff / np.max(np.abs(np.nan_to_num(np.concatenate([a, b]))))) if diff else 0.0
+
+
 def _csv_difference(old: Path, new: Path) -> str:
     header = old.read_text().split("\n", 1)[0].split(",")
     a = np.loadtxt(old, delimiter=",", skiprows=1, ndmin=2)
     b = np.loadtxt(new, delimiter=",", skiprows=1, ndmin=2)
     if a.shape != b.shape:
         return f"shapes {a.shape} and {b.shape}"
-    return ", ".join(f"{name} {_relative(a[:, j], b[:, j]):.3g}" for j, name in enumerate(header))
+    return ", ".join(
+        f"{name} {_relative(a[:, j], b[:, j]):.3g} / {_peak_relative(a[:, j], b[:, j]):.3g}" for j, name in enumerate(header)
+    )
 
 
 def _leaves(value):
@@ -150,7 +162,7 @@ def main(argv=None) -> int:
                     print(f"  {name}: written by one tree only")
                 elif name.endswith(".csv"):
                     columns = _csv_difference(old / name, new / name)
-                    print(f"  {name}: bytes differ; largest relative difference per column: {columns}")
+                    print(f"  {name}: bytes differ; largest difference per column, relative per value / to its peak: {columns}")
                 else:
                     print(f"  {name}: bytes differ; {_json_difference(old / name, new / name)}")
     print(f"{matching} of {len(runs)} runs wrote the same bytes with the same exit code in both trees")
