@@ -14,11 +14,12 @@ def _load_config(args, **defaults) -> RunConfig:
     """The config file's values over ``defaults``, then the flags over both."""
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        with open(args.config, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
     data = {**defaults, **data}

@@ -110,6 +110,8 @@ class RunConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {CASES}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
         if self.n_samples is None:
             self.n_samples = 20000 if self.case == "beam" else 100000
         self.n_samples = _integer("n_samples", self.n_samples)

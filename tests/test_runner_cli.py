@@ -594,8 +594,14 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         {"percentiles": [True, 50]},
         {"bandwidth": [True]},
         {"case": "discrete-oracle", "oracle": {"n_trials": True}},
+        # an output directory that is not a path, refused before the case runs
+        {"case": "discrete-oracle", "out_dir": 5},
+        # bytes that are not UTF-8, and arrays nested deeper than the parser recurses
+        b'{"case": "identity", "seed": "\xff"}',
+        b"[" * 100_000,
     ):
-        cfg_path.write_text(json.dumps({"case": "identity", "n_samples": 4000, **bad}))
+        text = bad if isinstance(bad, bytes) else json.dumps({"case": "identity", "n_samples": 4000, **bad}).encode()
+        cfg_path.write_bytes(text)
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg_path)])
         assert exc.value.code == 2, bad

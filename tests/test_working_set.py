@@ -4,7 +4,10 @@ they replaced.
 ``mclr._smooth`` applies the 2-D kernel to a lattice block through one
 banded strip per axis; the dense kernel matrices it replaced, built from
 an index formula, are kept here as its reference, and the two products
-agree within their rounding bound.  ``estimate_output_fim`` and
+agree within their rounding bound.  ``mclr._phase_correlate`` applies the
+1-D kernel as one correlation per lattice phase; the strided windows it
+replaced are kept here as its reference, within the same kind of bound.
+Both hold one lattice at a time and copy none.  ``estimate_output_fim`` and
 ``estimate_kl`` form their grid products in reused buffers; the plain
 expressions they replaced are the references, bit for bit.  Equal arrays
 must also agree in the sign of every zero.
@@ -17,11 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import probsens as ps
 from conftest import peak_bytes
 from probsens import mclr, runner
-from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _smooth
+from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _phase_correlate, _smooth
 
 
 def _same_bits(a, b) -> bool:
@@ -91,6 +95,78 @@ def test_two_dimensional_smoothing_holds_no_kernel_matrix():
     _, coords, sizes = zip(*(_lattice(v, a, h, _REFINE[2]) for v, a, h in zip(y.T, dg.axes, dg.bandwidth)))
     lattice = 8 * math.prod(hi - lo for lo, hi in map(_block, coords, sizes))
     assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + lattice + 0.7e6
+
+
+@st.composite
+def phase_lattices(draw):
+    """A refinement from 1 to 16; a tap count of one, below the refinement,
+    equal to it, a multiple of it or any other, so the lattice length is a
+    multiple of the refinement or not; a node count; and random taps and
+    lattice values on the ``refine * (nodes - 1) + taps`` nodes they read."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refine = draw(st.integers(1, 16))
+    n_taps = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(1, max(refine - 1, 1)),
+            st.just(refine),
+            st.integers(2, 5).map(lambda m: m * refine),
+            st.integers(1, 90),
+        )
+    )
+    n_nodes = draw(st.integers(1, 40))
+    return rng.standard_normal(refine * (n_nodes - 1) + n_taps), rng.random(n_taps), refine, n_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_lattices())
+def test_phase_correlation_matches_strided_windows(lattice):
+    # Either sum of a node's m = taps.size products is within
+    # gamma_m = m u / (1 - m u) of the sum of their absolute values
+    # (u = 2^-53), whatever the order of its terms (Higham, 3.5): so the
+    # two differ by at most 2 gamma_m times it, below m 2^-51 times it.
+    cells, taps, refine, n_nodes = lattice
+    out = np.zeros((1, n_nodes))
+    _phase_correlate(iter([cells]), out, taps, refine)
+    ref = sliding_window_view(cells, taps.size)[::refine] @ taps
+    scale = sliding_window_view(np.abs(cells), taps.size)[::refine] @ np.abs(taps)
+    assert ref.shape == out[0].shape
+    assert np.all(np.abs(out[0] - ref) <= taps.size * 2.0**-51 * scale)
+
+
+def test_one_dimensional_smoothing_holds_one_lattice():
+    # the identity case's base density at 1000 samples, seed 1: its three
+    # grid sums (12 KB) and one lattice (12,769 nodes, 102 KB) are held at
+    # once; the rest, the taps (35 KB), the binning's per-row state and one
+    # block's temporaries, traced 95 KB (209 KB in all).  A copy of the
+    # lattice (+102 KB) or the previous lattice held while the next one is
+    # binned breaks the bound
+    case = runner.build_case(runner.RunConfig(case="identity", n_samples=1000))
+    batch = ps.sample(case.model, 1000, 1)
+    outputs = mclr.evaluate_outputs(case.h, batch.draws)
+    y = outputs / case.scale(outputs)
+    dg = mclr.estimate_output_density(y, batch.scores)
+    sums = dg.density.nbytes + dg.density_grad.nbytes
+    _, _, size = _lattice(y, dg.axes[0], dg.bandwidth[0], _REFINE[1])
+    assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + 8 * size + 0.14e6
+
+
+@pytest.mark.parametrize(
+    "config", [{"case": "identity", "n_samples": 4000}, {"case": "beam", "n_samples": 2000, "perturbation_scale": 0.2}]
+)
+def test_density_centre_is_the_run_score_mean(config, monkeypatch):
+    # the base density centres its score columns on the means of run_case's
+    # zero-mean score check, bit for bit: the score mean has one definition
+    centres = []
+    linear_bin = mclr._linear_bin
+
+    def recording(coords, shape, scores, centre):
+        centres.append(centre)
+        return linear_bin(coords, shape, scores, centre)
+
+    monkeypatch.setattr(mclr, "_linear_bin", recording)
+    report = runner.run_case(runner.RunConfig(**config))
+    assert _same_bits(np.array(centres[0]), np.array(report["_scores"]["mean"]))
 
 
 def plain_fim(dg):
