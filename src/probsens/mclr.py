@@ -24,27 +24,29 @@ block.  The density grid is a binned kernel estimator
 (:func:`estimate_output_density`): the weights are binned linearly onto a
 lattice 16 (1-D) or 2 (2-D) times finer than the output axes, and the
 Gaussian sampled on that lattice, cut at 8 widths, is summed at the axis
-nodes, so the cost grows with the grid, not with N times the grid: in
-1-D as one correlation per lattice phase (:func:`_phase_correlate`),
-within taps x 2^-51 of each node's absolute sum of the strided windows it
-replaced, and in 2-D through one banded strip per axis (:func:`_smooth`).
-The score columns are centred on their column means, the same pairwise
-sums as the run's zero-mean score check.  Against the exact kernel sum
-the 1-D density moves by at most 9e-8 of its peak and the 2-D beam
-density by 3e-5; tr(F_y) by 1.3e-9 and 2.3e-6 relative.  Reductions run
-in a fixed order, so results do not depend on how the batch was
-produced.  The sweep's cumulative sum restarts each block from the
-previous block's last total, and the binning adds each block's shares
-into the lattice with ``np.add.at``, corner by corner.  Both add in the
-order of one pass over all rows (a sequential cumulative sum, one
-``bincount`` per column), so every bit equals that of the whole-array
-forms.
+nodes through one banded strip per axis (:func:`_smooth`), so the cost
+grows with the grid, not with N times the grid.  Each node's sum is
+within w x 2^-51 of ``|K0| |cells|`` (``|K0| |cells| |K1|^T`` in 2-D),
+the absolute products of the dense kernel matrices K it replaced, w being
+the lattice block's width summed over the axes.  The score columns are
+centred on their column means, the same pairwise sums as the run's
+zero-mean score check.  Against the exact kernel sum the 1-D density
+moves by at most 9e-8 of its peak and the 2-D beam density by 3e-5;
+tr(F_y) by 1.3e-9 and 2.3e-6 relative.  Reductions run in a fixed
+order, so results do not depend on how the batch was produced.  The
+sweep's cumulative sum restarts each block from the previous block's
+last total, and the binning adds each block's shares into the lattice
+with ``np.add.at``, corner by corner.  Both add in the order of one pass
+over all rows (a sequential cumulative sum, one ``bincount`` per
+column), so every bit equals that of the whole-array forms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -71,9 +73,11 @@ _GRID_POINTS = {1: 512, 2: 256}
 # estimate_output_density for the measured error and cost.
 _REFINE = {1: 16, 2: 2}
 _KERNEL_CUT = 8.0
-# axis nodes per kernel strip of the 2-D smoothing (_smooth); of 16 to 256,
-# 32 smooths the beam grid fastest, and fewer hold less but run slower
-_STRIP = 32
+# axis nodes per kernel strip of the smoothing (_smooth), by output
+# dimension.  Fewer hold less but run slower: of 4 to 16 in 1-D, 8 and more
+# are equally fast on identity, and of 16 to 256 in 2-D, 32 smooths the
+# beam grid fastest
+_STRIP = {1: 8, 2: 32}
 
 # step of estimate_gradient_fd's central differences, relative to each parameter's scale
 _FD_REL_STEP = 1e-2
@@ -339,12 +343,38 @@ class DensityGrid:
     entering the derivative sums are centred on their sample mean: the true
     derivative integrates to d(1)/db = 0, and centring enforces that
     constraint instead of letting the O(1/sqrt(N)) mean-score noise leak in.
+
+    The fields are checked and stored as float arrays: each axis 1-D,
+    finite, increasing and evenly spaced with 2 points at least
+    (:func:`_checked_axes`); ``density`` of the axes' shape and
+    ``density_grad`` of shape (n, *shape), every value finite; and one
+    finite width >= 0 per axis (0.0 for an exact density).
     """
 
     axes: tuple[np.ndarray, ...]
     density: np.ndarray = field(repr=False)
     density_grad: np.ndarray = field(repr=False)
     bandwidth: np.ndarray
+
+    def __post_init__(self):
+        axes = _checked_axes(self.axes)
+        shape = tuple(a.size for a in axes)
+        density = as_floats("density", self.density)
+        grads = as_floats("density derivatives", self.density_grad)
+        bandwidth = as_floats("bandwidth", self.bandwidth)
+        if density.shape != shape or grads.shape[1:] != shape:
+            raise ContractError(
+                f"density must have the axes' shape {shape} and density_grad (n,) + that shape, "
+                f"got {density.shape} and {grads.shape}"
+            )
+        if bandwidth.shape != (len(axes),):
+            raise ContractError(f"bandwidth needs one width per grid axis ({len(axes)}), got shape {bandwidth.shape}")
+        if not (np.isfinite(density).all() and np.isfinite(grads).all()):
+            raise ParameterDomainError("density and its derivatives must be finite")
+        if not np.all(np.isfinite(bandwidth) & (bandwidth >= 0.0)):
+            raise ParameterDomainError(f"bandwidth must be finite and >= 0, got {bandwidth.tolist()}")
+        for name, value in (("axes", axes), ("density", density), ("density_grad", grads), ("bandwidth", bandwidth)):
+            object.__setattr__(self, name, value)
 
     @property
     def ndim(self) -> int:
@@ -358,9 +388,7 @@ class DensityGrid:
             w[0] *= 0.5
             w[-1] *= 0.5
             ws.append(w)
-        if len(ws) == 1:
-            return ws[0]
-        return np.multiply.outer(ws[0], ws[1])
+        return functools.reduce(np.multiply.outer, ws)
 
     def mass(self) -> float:
         return float(np.sum(self.cell_weights() * self.density))
@@ -384,6 +412,25 @@ def kde_bandwidth(outputs: np.ndarray) -> np.ndarray:
     if k == 1:
         return 1.06 * std * n ** (-1.0 / 5.0)
     return std * n ** (-1.0 / 6.0)
+
+
+def _checked_axes(axes) -> tuple[np.ndarray, ...]:
+    """The grid axes as float vectors; an axis with fewer than 2 points, or
+    not 1-D, finite, increasing and evenly spaced, raises
+    :class:`ContractError`.  Steps may differ by 1e-6 of their mean plus
+    the 4 units in the last place that ``np.linspace`` rounds them by."""
+    if not np.iterable(axes):
+        raise ContractError(f"grid axes must be a sequence of axes, got {axes!r}")
+    axes = tuple(as_floats("axes", a) for a in axes)
+    for a in axes:
+        steps = np.diff(a) if a.ndim == 1 and np.all(np.isfinite(a)) else np.empty(0)
+        if (
+            steps.size == 0
+            or not np.all(np.isfinite(steps) & (steps > 0.0))
+            or np.ptp(steps) > 1e-6 * steps.mean() + 4.0 * np.spacing(np.abs(a).max())
+        ):
+            raise ContractError("grid axes must be finite, increasing and evenly spaced, with 2 points at least")
+    return axes
 
 
 def _grid_axes(outputs, bandwidth, points_per_dim):
@@ -468,7 +515,8 @@ def _linear_bin(coords, shape, scores, centre):
         out = np.zeros(math.prod(shape))
         for offset, corner in corners:
             for start, stop in blocks:
-                shares = math.prod(f[start:stop] if c else 1.0 - f[start:stop] for f, c in zip(frac, corner))
+                parts = (f[start:stop] if c else 1.0 - f[start:stop] for f, c in zip(frac, corner))
+                shares = functools.reduce(operator.mul, parts)  # no 1 * array, as math.prod's start
                 if j >= 0:
                     shares = shares * (scores[start:stop, j] - centre[j])
                 np.add.at(out, base[start:stop] + offset, shares)
@@ -476,54 +524,43 @@ def _linear_bin(coords, shape, scores, centre):
         del out
 
 
-def _phase_correlate(lattices, sums, taps, refine):
-    """``sums[j][i] = sum_m cells[refine * i + m] * taps[m]`` into the zeroed
-    ``sums``, cells being lattice j, as ``refine`` correlations of one phase
-    each.
-
-    Tap ``refine * r + p`` meets lattice node ``refine * (i + r) + p``, so
-    phase p correlates the strided views ``cells[p::refine]`` and
-    ``taps[p::refine]``, and ``np.correlate`` forms each axis node's sum
-    with numpy's dot kernel; the phases are added in order from p = 0.  The
-    lattice holds ``refine * (nodes - 1) + taps.size`` nodes, so phase p's
-    cells are ``nodes - 1`` longer than its taps and each correlation
-    yields one value per axis node.  No lattice is copied, and no dense
-    kernel matrix (nodes x lattice, about 40 MB for identity) is formed.
-    """
-    for out in sums:
-        cells = next(lattices)
-        for p in range(min(refine, taps.size)):
-            out += np.correlate(cells[p::refine], taps[p::refine], "valid")
-        del cells  # before the next lattice is allocated
-
-
 def _smooth(lattices, sums, taps, refine, blocks):
-    """``sums[j] = K0 @ lattice j @ K1.T`` into the zeroed ``sums``, K being
-    the taps between an axis's nodes and its lattice nodes lo..hi-1.
+    """``sums[j] = K0 @ lattice j`` (1-D) or ``K0 @ lattice j @ K1.T`` (2-D)
+    into the zeroed ``sums``, K being the taps between an axis's nodes and
+    its lattice nodes lo..hi-1.
 
     Node i reads the taps.size lattice nodes from ``refine * i``, so K's
-    rows for every ``_STRIP`` consecutive nodes are one Toeplitz strip,
+    rows for every ``_STRIP[k]`` consecutive nodes are one Toeplitz strip,
     built once per axis and cut to the block's columns.  Each axis-0 strip
-    multiplies only the lattice rows it reads, each axis-1 tile of that
-    only the columns it reads, into ``sums[j]``; a tile whose windows miss
-    the block stays +0.0.
+    multiplies only the lattice rows it reads: in 1-D straight into
+    ``sums[j]``, in 2-D through each axis-1 tile of the product, each tile
+    reading only the columns it needs.  A strip or tile whose windows miss
+    the block leaves +0.0.  No lattice is copied, and no dense kernel
+    matrix (nodes x block) is formed.
     """
-    bands = [[], []]
-    for band, t, n_nodes, (lo, hi) in zip(bands, taps, sums.shape[1:], blocks):
-        strip = np.zeros((_STRIP, refine * (_STRIP - 1) + t.size))
+    n_rows = _STRIP[len(taps)]
+    bands = []
+    for t, n_nodes, (lo, hi) in zip(taps, sums.shape[1:], blocks):
+        strip = np.zeros((n_rows, refine * (n_rows - 1) + t.size))
         for i, row in enumerate(strip):
             row[refine * i : refine * i + t.size] = t
-        for first in range(0, n_nodes, _STRIP):
-            rows, start = min(_STRIP, n_nodes - first), refine * first
+        band = []
+        for first in range(0, n_nodes, n_rows):
+            rows, start = min(n_rows, n_nodes - first), refine * first
             a, b = max(start, lo), min(start + refine * (rows - 1) + t.size, hi)
             if a < b:
                 band.append((slice(first, first + rows), strip[:rows, a - start : b - start], slice(a - lo, b - lo)))
+        bands.append(band)
+    strips, *tiles = bands
     for out in sums:
         cells = next(lattices)
-        for nodes0, k0, cells0 in bands[0]:
-            part = k0 @ cells[cells0]
-            for nodes1, k1, cells1 in bands[1]:
-                np.matmul(part[:, cells1], k1.T, out=out[nodes0, nodes1])
+        for nodes0, k0, cells0 in strips:
+            if tiles:
+                part = k0 @ cells[cells0]
+                for nodes1, k1, cells1 in tiles[0]:
+                    np.matmul(part[:, cells1], k1.T, out=out[nodes0, nodes1])
+            else:
+                np.matmul(k0, cells[cells0], out=out[nodes0])
         del cells  # before the next lattice is allocated
 
 
@@ -546,18 +583,15 @@ def estimate_output_density(
     1-D, 2 in 2-D) and aligned with them.  The Gaussian sampled on that
     lattice, at the width that makes up for the variance the binning adds
     (:func:`_lattice`), and cut at 8 widths, is then applied once per axis,
-    at the axis nodes only.  In 1-D that is ``refine`` correlations of
-    strided views, one per lattice phase (:func:`_phase_correlate`); each
-    node's sum moves by at most taps x 2^-51 of the sum of its absolute
-    products against the strided windows it replaced, and on the shipped
-    cases the grids moved by at most 6e-15 of their peaks and tr(F_y) by
-    5e-16 relative.  In 2-D it is one banded Toeplitz strip per axis
-    (:func:`_smooth`), on only the block of lattice nodes that holds rows,
-    each strip of axis nodes reading only the lattice nodes its windows
-    reach.  Either holds one lattice at a time and copies none.  The
-    lattice spans the axes plus 8 widths on each side, so rows beyond it,
-    such as far outliers from a fixed grid, are dropped and cannot grow
-    memory.
+    at the axis nodes only, through one banded Toeplitz strip of
+    ``_STRIP[k]`` axis nodes at a time (:func:`_smooth`).  Only the block of
+    lattice nodes that holds rows is binned and smoothed, each strip
+    reading only the lattice nodes its windows reach, one lattice at a time
+    and with no copy.  Each node's sum is within w x 2^-51 of the absolute
+    products of the dense kernel matrices, w being the block's width summed
+    over the axes.  The lattice spans the axes plus 8 widths on each side,
+    so rows beyond it, such as far outliers from a fixed grid, are dropped
+    and cannot grow memory.
 
     Against the exact kernel sum (kept in the tests) on the shipped cases
     at seeds 1, 7 and 141, on the base and the perturbed grid: the 1-D
@@ -604,16 +638,14 @@ def estimate_output_density(
     if axes is None:
         with np.errstate(over="ignore", invalid="ignore"):
             axes = _grid_axes(outputs, bandwidth, _GRID_POINTS[k])
-        if not all(np.isfinite(a).all() for a in axes):
-            raise ParameterDomainError(f"bandwidth {bandwidth.tolist()} puts the grid axes beyond the largest float")
+        try:
+            axes = _checked_axes(axes)
+        except ContractError:  # beyond the largest float, or nodes that repeat
+            raise ParameterDomainError(f"bandwidth {bandwidth.tolist()} gives no grid axes of distinct finite nodes") from None
     else:
-        axes = tuple(as_floats("axes", a) for a in axes)
+        axes = _checked_axes(axes)
         if len(axes) != k:
             raise ContractError("fixed grid dimension does not match outputs")
-        for a in axes:
-            steps = np.diff(a) if a.ndim == 1 and np.all(np.isfinite(a)) else np.empty(0)
-            if steps.size == 0 or steps.min() <= 0.0 or np.ptp(steps) > 1e-6 * steps.mean():
-                raise ContractError("fixed grid axes must be finite, increasing and evenly spaced")
 
     refine = _REFINE[k]
     taps, coords, sizes = zip(*(_lattice(v, a, h, refine) for v, a, h in zip(outputs.T, axes, bandwidth)))
@@ -624,13 +656,11 @@ def estimate_output_density(
     if not inside.all():
         coords = [u[inside] for u in coords]
         scores = scores[inside]
+    blocks = [_block(u, size) for u, size in zip(coords, sizes)]
+    for u, (lo, _) in zip(coords, blocks):
+        u -= lo  # exact: lo is an integer at or below every coordinate
     sums = np.zeros((scores.shape[1] + 1,) + tuple(a.size for a in axes))
-    if k == 1:
-        _phase_correlate(iter(_linear_bin(coords, sizes, scores, centre)), sums, taps[0], refine)
-    else:
-        blocks = [_block(u, size) for u, size in zip(coords, sizes)]
-        lattices = iter(_linear_bin([u - lo for u, (lo, _) in zip(coords, blocks)], [hi - lo for lo, hi in blocks], scores, centre))
-        _smooth(lattices, sums, taps, refine, blocks)
+    _smooth(iter(_linear_bin(coords, [hi - lo for lo, hi in blocks], scores, centre)), sums, taps, refine, blocks)
     sums /= n
     return DensityGrid(axes=axes, density=sums[0], density_grad=sums[1:], bandwidth=bandwidth)
 

@@ -20,6 +20,7 @@ _F = ps.FisherMatrix(np.diag([25.0, 50.0]))
 _GRID = (np.linspace(0.0, 2.0, 64),)
 _CURVE = ps.sensitivity_curve(_G, _BATCH.scores, [10.0, 50.0])
 _DENSITY = ps.estimate_output_density(_G, _BATCH.scores, [0.04], _GRID)
+_DENSITY_FIELDS = {"axes": _GRID, "density": _DENSITY.density, "density_grad": _DENSITY.density_grad, "bandwidth": [0.04]}
 
 # (name, call, valid arguments by name): each call returns cleanly on its
 # valid arguments, and every argument named here is replaced by bad values
@@ -39,6 +40,7 @@ TABLE = (
         {"outputs": _G, "scores": _BATCH.scores, "bandwidth": [0.04], "axes": _GRID},
     ),
     ("FisherMatrix", ps.FisherMatrix, {"matrix": np.eye(2)}),
+    ("DensityGrid", ps.DensityGrid, _DENSITY_FIELDS),
     ("normal", ps.normal, {"mu": 1.0, "sigma": 0.2}),
     ("binomial_family(2).pmf", ps.binomial_family(2).pmf, {"b": [0.5]}),
     # these refused wrong shapes, sigma = 0 and n = 0 all along; most let a string escape
@@ -198,6 +200,32 @@ def test_wrong_type_objects_raise_contract_errors(name, call, args):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        # each of these once built a grid: the first two then escaped the
+        # quadratures as a broadcast ValueError, the third cell_weights as an
+        # IndexError and the string mass() as a UFuncTypeError, and the NaN
+        # density gave F_y = [[0.]], which passes every bound
+        ("density", np.ones(63)),
+        ("density_grad", np.ones((2, 63))),
+        ("axes", (np.array([0.0]),)),
+        ("density", np.full(64, "x")),
+        ("density", np.full(64, np.nan)),
+        ("density_grad", np.full((2, 64), np.inf)),
+        ("bandwidth", [0.04, 0.04]),
+        ("bandwidth", [-0.04]),
+    ],
+    ids=[
+        "short-density", "short-derivatives", "one-point-axis", "string", "nan", "inf-derivatives", "two-widths",
+        "negative-width",
+    ],
+)
+def test_density_grid_refuses_fields_that_do_not_fit(field, value):
+    with pytest.raises(ps.ProbsensError):
+        ps.DensityGrid(**{**_DENSITY_FIELDS, field: value})
+
+
+@pytest.mark.parametrize(
     "bandwidth, axes",
     [
         # the default axes, 3 widths past the outputs, overflow to +-inf
@@ -211,6 +239,20 @@ def test_wrong_type_objects_raise_contract_errors(name, call, args):
 def test_a_bandwidth_without_a_lattice_is_a_domain_error(bandwidth, axes):
     with pytest.raises(ps.ParameterDomainError, match="bandwidth"):
         ps.estimate_output_density(_G, _BATCH.scores, bandwidth=bandwidth, axes=axes)
+
+
+@pytest.mark.parametrize(
+    "outputs, bandwidth",
+    # outputs of one value under a fixed width, or two values one ulp
+    # apart under the default width: the default axes repeat their nodes.
+    # The first once escaped as a ZeroDivisionError, the second returned
+    # a density of mass 0.0
+    [(np.ones(_G.size), 1e-20), (1.0 + (np.arange(_G.size) % 2) * 2.0**-52, None)],
+    ids=["one-value", "one-ulp-apart"],
+)
+def test_default_axes_with_repeated_nodes_are_a_domain_error(outputs, bandwidth):
+    with pytest.raises(ps.ParameterDomainError, match="bandwidth"):
+        ps.estimate_output_density(outputs, _BATCH.scores, bandwidth=bandwidth)
 
 
 def test_a_bandwidth_without_a_lattice_exits_2(tmp_path, capsys):

@@ -304,7 +304,7 @@ def test_identity_run_memory():
     # the finite-difference check formed every row's likelihood ratios before
     # its sweep and was the run's peak, 12.1 MB traced; then the KL batch's
     # density grid was, 8.5 MB, with the whole base batch still alive.  The
-    # peak is now the threshold sweep's and the base density's, 6.15 MB
+    # peak is now the base density's, 6.24 MB (the threshold sweep's 6.15 MB)
     config = RunConfig(case="identity", bandwidth=[0.04], seed=1)
     assert peak_bytes(lambda: run_case(config)) < 6.5e6
 

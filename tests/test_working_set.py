@@ -1,13 +1,11 @@
 """The grid forms that bound the working set against the whole-array forms
 they replaced.
 
-``mclr._smooth`` applies the 2-D kernel to a lattice block through one
-banded strip per axis; the dense kernel matrices it replaced, built from
-an index formula, are kept here as its reference, and the two products
-agree within their rounding bound.  ``mclr._phase_correlate`` applies the
-1-D kernel as one correlation per lattice phase; the strided windows it
-replaced are kept here as its reference, within the same kind of bound.
-Both hold one lattice at a time and copy none.  ``estimate_output_fim`` and
+``mclr._smooth`` applies the kernel to a lattice block through one banded
+strip per axis, in 1-D and in 2-D; the dense kernel matrices it replaced,
+built from an index formula, are kept here as its reference, and the two
+products agree within the stated bound w x 2^-51 (|K| |cells| ...).  It
+holds one lattice at a time and copies none.  ``estimate_output_fim`` and
 ``estimate_kl`` form their grid products in reused buffers; the plain
 expressions they replaced are the references, bit for bit.  Equal arrays
 must also agree in the sign of every zero.
@@ -20,12 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 import probsens as ps
 from conftest import peak_bytes
 from probsens import mclr, runner
-from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _phase_correlate, _smooth
+from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _smooth
 
 
 def _same_bits(a, b) -> bool:
@@ -42,16 +39,19 @@ def index_kernel_matrix(taps, refine, n_nodes, lo, hi):
 
 @st.composite
 def lattice_blocks(draw):
-    """Per axis: taps, a node count (below, at and above multiples of
-    ``_STRIP``) and a block [lo, hi) of the lattice its windows span, which
-    may cut the windows at either end or miss some of them wholly; one
-    refinement; and random lattice values on the block."""
+    """One or two axes, each with taps, a node count (below, at and above
+    multiples of its ``_STRIP``) and a block [lo, hi) of the lattice its
+    windows span, which may cut the windows at either end or miss some of
+    them wholly; one refinement (up to 16 in 1-D, 4 in 2-D); and random
+    lattice values on the block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    refine = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 2]))
+    refine = draw(st.integers(1, 16 if k == 1 else 4))
+    rows = _STRIP[k]
     axes = []
-    for _ in range(2):
+    for _ in range(k):
         taps = rng.random(draw(st.integers(1, 41)))
-        n_nodes = draw(st.sampled_from([1, 2, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP, 2 * _STRIP + 7]))
+        n_nodes = draw(st.sampled_from([1, 2, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 7]))
         lattice = (n_nodes - 1) * refine + taps.size
         lo = draw(st.integers(0, lattice - 1))
         axes.append((taps, n_nodes, lo, draw(st.integers(lo + 1, lattice))))
@@ -59,96 +59,68 @@ def lattice_blocks(draw):
     return cells, refine, axes
 
 
+def _kernel_products(ks, cells):
+    """``K0 @ cells``, or ``K0 @ cells @ K1.T`` with two kernel matrices."""
+    out = ks[0] @ cells
+    return out @ ks[1].T if len(ks) == 2 else out
+
+
 @settings(max_examples=300, deadline=None)
 @given(lattice_blocks())
 def test_banded_smoothing_matches_dense_kernel_matrices(block):
     # Either product of a sum of m terms is within gamma_m = m u / (1 - m u)
-    # of |K0| |cells| |K1|^T (u = 2^-53) per product, whatever the order of
-    # the terms (Higham, Accuracy and Stability, 3.5), and m is at most the
-    # block's width on that axis: so the two differ by at most
-    # 2 (gamma_w0 + gamma_w1 + gamma_w0 gamma_w1) |K0| |cells| |K1|^T, below
-    # (w0 + w1) 2^-51 times it.  Where a node's window misses the block both
-    # read exact +0.0.
+    # of the product of the absolute values (u = 2^-53) per product,
+    # whatever the order of the terms (Higham, Accuracy and Stability, 3.5),
+    # and m is at most the block's width on that axis: so the two differ by
+    # at most 2 gamma_w0 |K0| |cells| in 1-D and
+    # 2 (gamma_w0 + gamma_w1 + gamma_w0 gamma_w1) |K0| |cells| |K1|^T in
+    # 2-D, below (w0 + w1) 2^-51 times it.  Where a node's window misses the
+    # block both read exact +0.0.
     cells, refine, axes = block
-    out = np.zeros((1, axes[0][1], axes[1][1]))
+    out = np.zeros((1,) + tuple(n_nodes for _, n_nodes, _, _ in axes))
     _smooth(iter([cells]), out, [taps for taps, *_ in axes], refine, [(lo, hi) for *_, lo, hi in axes])
-    k0, k1 = (index_kernel_matrix(taps, refine, n_nodes, lo, hi) for taps, n_nodes, lo, hi in axes)
-    scale = np.abs(k0) @ np.abs(cells) @ np.abs(k1).T
-    assert np.all(np.abs(out[0] - k0 @ cells @ k1.T) <= sum(cells.shape) * 2.0**-51 * scale)
-    missed = [~k.any(axis=1) for k in (k0, k1)]
-    assert not np.any(out[0][missed[0]]) and not np.signbit(out[0][missed[0]]).any()
-    assert not np.any(out[0][:, missed[1]]) and not np.signbit(out[0][:, missed[1]]).any()
+    ks = [index_kernel_matrix(taps, refine, n_nodes, lo, hi) for taps, n_nodes, lo, hi in axes]
+    scale = _kernel_products([np.abs(k) for k in ks], np.abs(cells))
+    assert np.all(np.abs(out[0] - _kernel_products(ks, cells)) <= sum(cells.shape) * 2.0**-51 * scale)
+    for axis, k in enumerate(ks):
+        missed = np.moveaxis(out[0], axis, 0)[~k.any(axis=1)]
+        assert not np.any(missed) and not np.signbit(missed).any()
 
 
-def test_two_dimensional_smoothing_holds_no_kernel_matrix():
-    # the beam's base density at 2000 samples, seed 1: its five grid sums
-    # (2.62 MB) and one lattice block (427 x 429, 1.47 MB) are held at once;
-    # the rest, binning temporaries and one strip's product, traced 0.55 MB
-    # (4.63 MB in all).  One axis-nodes x block kernel matrix (256 x 429,
-    # 0.88 MB) breaks the bound
-    case = runner.build_case(runner.RunConfig(case="beam", n_samples=2000))
-    batch = ps.sample(case.model, 2000, 1)
-    outputs = mclr.evaluate_outputs(case.h, batch.draws)
-    y = outputs / case.scale(outputs)
+@pytest.mark.parametrize(
+    "case, n, slack",
+    [
+        # identity: three grid sums (12 KB), a 6455-node lattice block
+        # (52 KB) and one 8-row strip (301 KB); the rest, the taps (37 KB),
+        # the binning's per-row state and one block's temporaries, traced
+        # 115 KB (480 KB in all).  A lattice copy traced 516 KB, the
+        # previous lattice held 532 KB
+        ("identity", 1000, 0.13e6),
+        # beam: five grid sums (2.62 MB), a 427 x 429 lattice block
+        # (1.47 MB) and two 32-row strips (0.15 MB); the rest, binning
+        # temporaries and one strip's product, traced 0.37 MB (4.60 MB in
+        # all).  One axis-nodes x block kernel matrix (256 x 429, 0.88 MB)
+        # traced 5.48 MB
+        ("beam", 2000, 0.5e6),
+    ],
+    ids=["identity", "beam"],
+)
+def test_smoothing_holds_one_lattice_and_one_strip_per_axis(case, n, slack):
+    # the base density at seed 1.  A copy of the lattice, the previous
+    # lattice held while the next one is binned or a dense kernel matrix
+    # breaks the bound
+    config = runner.RunConfig(case=case, n_samples=n)
+    built = runner.build_case(config)
+    batch = ps.sample(built.model, n, 1)
+    outputs = mclr.evaluate_outputs(built.h, batch.draws)
+    y = (outputs / built.scale(outputs)).reshape(n, -1)
     dg = mclr.estimate_output_density(y, batch.scores)
     sums = dg.density.nbytes + dg.density_grad.nbytes
-    _, coords, sizes = zip(*(_lattice(v, a, h, _REFINE[2]) for v, a, h in zip(y.T, dg.axes, dg.bandwidth)))
+    refine, rows = _REFINE[dg.ndim], _STRIP[dg.ndim]
+    taps, coords, sizes = zip(*(_lattice(v, a, h, refine) for v, a, h in zip(y.T, dg.axes, dg.bandwidth)))
     lattice = 8 * math.prod(hi - lo for lo, hi in map(_block, coords, sizes))
-    assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + lattice + 0.7e6
-
-
-@st.composite
-def phase_lattices(draw):
-    """A refinement from 1 to 16; a tap count of one, below the refinement,
-    equal to it, a multiple of it or any other, so the lattice length is a
-    multiple of the refinement or not; a node count; and random taps and
-    lattice values on the ``refine * (nodes - 1) + taps`` nodes they read."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    refine = draw(st.integers(1, 16))
-    n_taps = draw(
-        st.one_of(
-            st.just(1),
-            st.integers(1, max(refine - 1, 1)),
-            st.just(refine),
-            st.integers(2, 5).map(lambda m: m * refine),
-            st.integers(1, 90),
-        )
-    )
-    n_nodes = draw(st.integers(1, 40))
-    return rng.standard_normal(refine * (n_nodes - 1) + n_taps), rng.random(n_taps), refine, n_nodes
-
-
-@settings(max_examples=300, deadline=None)
-@given(phase_lattices())
-def test_phase_correlation_matches_strided_windows(lattice):
-    # Either sum of a node's m = taps.size products is within
-    # gamma_m = m u / (1 - m u) of the sum of their absolute values
-    # (u = 2^-53), whatever the order of its terms (Higham, 3.5): so the
-    # two differ by at most 2 gamma_m times it, below m 2^-51 times it.
-    cells, taps, refine, n_nodes = lattice
-    out = np.zeros((1, n_nodes))
-    _phase_correlate(iter([cells]), out, taps, refine)
-    ref = sliding_window_view(cells, taps.size)[::refine] @ taps
-    scale = sliding_window_view(np.abs(cells), taps.size)[::refine] @ np.abs(taps)
-    assert ref.shape == out[0].shape
-    assert np.all(np.abs(out[0] - ref) <= taps.size * 2.0**-51 * scale)
-
-
-def test_one_dimensional_smoothing_holds_one_lattice():
-    # the identity case's base density at 1000 samples, seed 1: its three
-    # grid sums (12 KB) and one lattice (12,769 nodes, 102 KB) are held at
-    # once; the rest, the taps (35 KB), the binning's per-row state and one
-    # block's temporaries, traced 95 KB (209 KB in all).  A copy of the
-    # lattice (+102 KB) or the previous lattice held while the next one is
-    # binned breaks the bound
-    case = runner.build_case(runner.RunConfig(case="identity", n_samples=1000))
-    batch = ps.sample(case.model, 1000, 1)
-    outputs = mclr.evaluate_outputs(case.h, batch.draws)
-    y = outputs / case.scale(outputs)
-    dg = mclr.estimate_output_density(y, batch.scores)
-    sums = dg.density.nbytes + dg.density_grad.nbytes
-    _, _, size = _lattice(y, dg.axes[0], dg.bandwidth[0], _REFINE[1])
-    assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + 8 * size + 0.14e6
+    strips = sum(8 * rows * (refine * (rows - 1) + t.size) for t in taps)
+    assert peak_bytes(lambda: mclr.estimate_output_density(y, batch.scores)) < sums + lattice + strips + slack
 
 
 @pytest.mark.parametrize(
