@@ -61,11 +61,18 @@ class MarginalSpec:
 
     def from_standard(self, z: np.ndarray) -> np.ndarray:
         """Draws from standard normals: ``mu + sigma * z``, exponentiated for
-        a lognormal.  Every draw of this marginal goes through it."""
-        x = self.mu + self.sigma * z
+        a lognormal."""
+        return self._draws_into(z, np.empty(np.shape(z)))
+
+    def _draws_into(self, z, out: np.ndarray) -> np.ndarray:
+        """``from_standard(z)`` written into ``out`` in place, each step the
+        plain expression's IEEE operation.  Every draw of this marginal goes
+        through it."""
+        np.multiply(z, self.sigma, out=out)
+        np.add(out, self.mu, out=out)
         if self.family == "lognormal":
-            return np.exp(x)
-        return x
+            np.exp(out, out=out)
+        return out
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF; each uniform maps to exactly one draw."""
@@ -86,13 +93,26 @@ class MarginalSpec:
     def score(self, x) -> np.ndarray:
         """Score vector (d lnp/d mu, d lnp/d sigma), shape (..., 2)."""
         x = as_floats("x", x)
+        return self._score_into(x, np.empty(x.shape + (2,)))
+
+    def _score_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``score(x)`` written into ``out`` in place, each step the IEEE
+        operation of ``dev = t - mu`` (t = ln x for a lognormal),
+        ``dev / s2`` and ``(dev * dev - s2) / (s2 * sigma)``: the one score
+        formula, of :meth:`score` and of every batch."""
         self._require_support(x)
-        t = np.log(x) if self.family == "lognormal" else x
-        dev = t - self.mu
+        d_mu, d_sigma = out[..., 0], out[..., 1]
+        if self.family == "lognormal":
+            np.log(x, out=d_mu)
+            np.subtract(d_mu, self.mu, out=d_mu)
+        else:
+            np.subtract(x, self.mu, out=d_mu)
         s2 = self.sigma * self.sigma
-        d_mu = dev / s2
-        d_sigma = (dev * dev - s2) / (s2 * self.sigma)
-        return np.stack([d_mu, d_sigma], axis=-1)
+        np.multiply(d_mu, d_mu, out=d_sigma)
+        np.subtract(d_sigma, s2, out=d_sigma)
+        np.divide(d_sigma, s2 * self.sigma, out=d_sigma)
+        np.divide(d_mu, s2, out=d_mu)
+        return out
 
     def fim(self) -> FisherMatrix:
         """Analytic information matrix w.r.t. (mu, sigma): diag(1/s^2, 2/s^2)."""
@@ -161,7 +181,10 @@ class InputModel:
         column j through marginal j.  Models that differ only in parameters
         map the same normals to paired draws on common random numbers."""
         normals = self._require_draws(normals)
-        return np.column_stack([m.from_standard(normals[:, j]) for j, m in enumerate(self.marginals)])
+        draws = np.empty(normals.shape)
+        for j, m in enumerate(self.marginals):
+            m._draws_into(normals[:, j], draws[:, j])
+        return draws
 
     def logpdf(self, draws) -> np.ndarray:
         draws = self._require_draws(draws)
@@ -173,8 +196,10 @@ class InputModel:
     def scores(self, draws) -> np.ndarray:
         """Joint score rows (N, n_params): concatenated marginal scores."""
         draws = self._require_draws(draws)
-        cols = [m.score(draws[:, j]) for j, m in enumerate(self.marginals)]
-        return np.concatenate(cols, axis=1)
+        scores = np.empty((draws.shape[0], self.n_params))
+        for j, m in enumerate(self.marginals):
+            m._score_into(draws[:, j], scores[:, 2 * j : 2 * j + 2])
+        return scores
 
     def fim(self) -> FisherMatrix:
         """Analytic joint information matrix: block diagonal over marginals."""
@@ -218,12 +243,14 @@ class ScoredSampleBatch:
 
 
 # Rows inverted per ndtri call.  ndtri makes about 75 numpy calls, each with
-# a fixed cost, so small chunks pay it often, and the temporaries of a whole
-# 1e5-row column outgrow the cache.  On a 2-core x86-64 machine, sampling
-# 1e5 identity rows in 16384-row chunks took 15-25% less time than in
-# 4096-row chunks and 7-12% less than as one column (six interleaved runs,
-# medians of 80-120 calls each).
-_INVERSION_CHUNK = 4 * CHUNK
+# a fixed cost, so small chunks pay it often, and a fresh process faults in
+# every page of a large chunk's temporaries; at 16384 rows each is 128 KiB,
+# glibc's default mmap threshold, so each is a new mapping.  Sampling 1e5
+# identity rows in a freshly forked process (2-core x86-64, one BLAS
+# thread, three rounds of 15 forks): 4096 rows took 10.9-12.8 ms and 1,300
+# minor faults, 8192 rows 10.2-13.5 ms and 1,340, 12288 rows 9.4-11.5 ms
+# and 1,470, 16384 rows 12.6-15.8 ms and 2,245.
+_INVERSION_CHUNK = 2 * CHUNK
 
 
 def _integer(name: str, value, error: type[ProbsensError] = ParameterDomainError) -> int:
@@ -257,7 +284,9 @@ def sample(model: InputModel, n: int, seed: int) -> ScoredSampleBatch:
     output bits.  The draws are ``model.from_standard(normals)``, so for
     any shifted model
     ``shifted.from_standard(batch.normals)`` is bit for bit the draws of
-    ``sample(shifted, n, seed)``, without drawing or inverting again.
+    ``sample(shifted, n, seed)``, without drawing or inverting again.  The
+    draws and the scores are filled in place, column by column, so the
+    batch is the only N-length memory a call forms.
     """
     n, seed = _integer("sample count", n), _seed(seed)
     if n < 1:

@@ -15,7 +15,10 @@ The three indicator-weighted means come from one sorted sweep that serves
 every threshold at once (:func:`_threshold_sums`).  Its order is the stable
 argsort of the performance values, which :func:`_sort_order` takes from
 numpy's default sort and from the stable sort only when two values tie:
-without ties the sorting permutation is unique.  The sweep takes its
+without ties the sorting permutation is unique.  No sorted copy of the
+values is formed: the tie check reads them block by block, the counts are
+searched through the order and a percentile gathers only its two
+neighbours.  The sweep takes its
 weights as a function of row indices and asks for one block of ``CHUNK``
 (4096) sorted rows at a time, so no caller forms an (N, columns) weight
 array: the curve gathers its score rows and their squares, the
@@ -36,7 +39,9 @@ tr(F_y) by 1.3e-9 and 2.3e-6 relative.  Reductions run in a fixed
 order, so results do not depend on how the batch was produced.  The
 sweep's cumulative sum restarts each block from the previous block's
 last total, and the binning adds each block's shares into the lattice
-with ``np.add.at``, corner by corner.  Both add in the order of one pass
+with ``np.add.at``, corner by corner, from the lattice coordinates, split
+in place into fractions, and one cell index per row.  Both add in the
+order of one pass
 over all rows (a sequential cumulative sum, one ``bincount`` per
 column), so every bit equals that of the whole-array forms.
 """
@@ -106,23 +111,32 @@ class SensitivityResult:
 def evaluate_outputs(h: Callable[[np.ndarray], np.ndarray], draws: np.ndarray) -> np.ndarray:
     """Apply the forward map h to every draw, in fixed chunks of ``CHUNK`` rows.
 
-    Non-finite outputs are reported with the offending draw index.
-    ``draws`` is an (N, inputs) matrix with N >= 1.
+    ``draws`` is an (N, inputs) matrix with N >= 1.  The result, (N,) or
+    (N, k), is allocated from the first chunk's shape and filled chunk by
+    chunk.  Each chunk of ``rows`` draws must map to ``(rows,)``, or
+    ``(rows, k)`` with the first chunk's k, and to finite values; otherwise
+    :class:`EvaluationError` names the draw range or the first non-finite
+    draw.
     """
     draws = as_floats("draws", draws)
     if draws.ndim != 2 or draws.shape[0] == 0:
         raise ContractError(f"draws must be an (N, inputs) matrix with N >= 1, got shape {draws.shape}")
-    parts = []
+    outputs = None
     for start, stop in chunk_ranges(draws.shape[0], CHUNK):
         try:
-            parts.append(np.asarray(h(draws[start:stop]), dtype=float))
+            part = np.asarray(h(draws[start:stop]), dtype=float)
         except Exception as exc:  # noqa: BLE001 - annotate with draw range
             raise EvaluationError(f"forward map failed on draws [{start}, {stop}): {exc}") from exc
-    outputs = np.concatenate(parts, axis=0)
-    bad = ~np.all(np.isfinite(np.atleast_2d(outputs.T)), axis=0)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise EvaluationError(f"forward map returned a non-finite output at draw {idx}")
+        if outputs is None and part.ndim in (1, 2):
+            outputs = np.empty(draws.shape[:1] + part.shape[1:])
+        if outputs is None or part.shape != (stop - start,) + outputs.shape[1:]:
+            want = "(rows,) or (rows, k)" if outputs is None else (stop - start,) + outputs.shape[1:]
+            raise EvaluationError(f"forward map returned shape {part.shape} on draws [{start}, {stop}), expected {want}")
+        finite = np.isfinite(part)
+        if not finite.all():
+            idx = start + int(np.flatnonzero(~finite.reshape(stop - start, -1).all(axis=1))[0])
+            raise EvaluationError(f"forward map returned a non-finite output at draw {idx}")
+        outputs[start:stop] = part
     return outputs
 
 
@@ -149,19 +163,21 @@ def _score_matrix(scores, n: int) -> np.ndarray:
     return scores
 
 
-def _linear_percentiles(sorted_g: np.ndarray, percentiles: np.ndarray) -> np.ndarray:
-    """``np.percentile(g, percentiles)`` from the sorted g, bit for bit.
+def _linear_percentiles(gvals: np.ndarray, order: np.ndarray, percentiles: np.ndarray) -> np.ndarray:
+    """``np.percentile(gvals, percentiles)`` from the order that sorts g,
+    bit for bit.
 
     numpy's default ``linear`` rule: the virtual index (n - 1) p / 100, and
     between its two neighbours the interpolation ``a + (b - a) t`` for a
-    fraction t < 1/2 and ``b - (b - a)(1 - t)`` otherwise.  It spares the
-    ``numpy.ma`` import that ``np.percentile`` makes on first use.
+    fraction t < 1/2 and ``b - (b - a)(1 - t)`` otherwise; only those two
+    neighbours are gathered.  It spares the ``numpy.ma`` import that
+    ``np.percentile`` makes on first use.
     """
-    virtual = (sorted_g.size - 1) * (percentiles / 100)
+    virtual = (gvals.size - 1) * (percentiles / 100)
     below = np.floor(virtual)
     t = virtual - below
     lo = below.astype(np.intp)
-    a, b = sorted_g[lo], sorted_g[np.minimum(lo + 1, sorted_g.size - 1)]
+    a, b = gvals[order[lo]], gvals[order[np.minimum(lo + 1, gvals.size - 1)]]
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
@@ -173,13 +189,15 @@ def _sort_order(gvals: np.ndarray) -> np.ndarray:
     When the sorted g strictly increases, only one permutation sorts it,
     so the default sort returns the stable order on any machine.  Otherwise
     two values tie (``-0.0`` and ``0.0`` are equal) or a NaN is present,
-    and the stable sort runs after all.
+    and the stable sort runs after all.  The sorted g is checked one block
+    of ``CHUNK`` values at a time, with no sorted copy of g.
     """
     order = np.argsort(gvals)
-    sorted_g = gvals[order]
-    if np.all(sorted_g[1:] > sorted_g[:-1]):
-        return order
-    return np.argsort(gvals, kind="stable")
+    for start, stop in chunk_ranges(order.size, CHUNK):
+        sorted_g = gvals[order[start : stop + 1]]
+        if not np.all(sorted_g[1:] > sorted_g[:-1]):
+            return np.argsort(gvals, kind="stable")
+    return order
 
 
 def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
@@ -187,8 +205,9 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
 
     ``above`` fails on g > z and ``below`` on g <= z, so ties break toward
     non-failure for ``above``.  The ``below`` count at z is the
-    ``searchsorted(side="right")`` position of z in the sorted g; counts
-    alone need only ``np.sort``.  With weights, the rows are taken in the
+    ``searchsorted(side="right")`` position of z in the sorted g, searched
+    through ``order`` when there is one; counts alone need only
+    ``np.sort``.  With weights, the rows are taken in the
     stable order of g, ``order``: its ``argsort(kind="stable")``, which
     :func:`_sort_order` gives and the caller passes when it already holds
     it.  The failure set at each z is then a prefix (below) or suffix
@@ -220,12 +239,11 @@ def _threshold_sums(gvals, zs, direction: str, weights=None, order=None):
     if not np.all(np.isfinite(zs)):
         raise ParameterDomainError("thresholds must be finite")
     if weights is None and order is None:
-        sorted_g = np.sort(gvals)
+        n_below = np.searchsorted(np.sort(gvals), zs, side="right")
     else:
         if order is None:
             order = _sort_order(gvals)
-        sorted_g = gvals[order]
-    n_below = np.searchsorted(sorted_g, zs, side="right")
+        n_below = np.searchsorted(gvals, zs, side="right", sorter=order)
     counts = n_below if direction == "below" else gvals.size - n_below
     if weights is None:
         return counts, None
@@ -313,7 +331,7 @@ def sensitivity_curve(
     if gvals.max() == gvals.min():
         warnings.warn("degenerate output: all performance values equal", RuntimeWarning)
     order = _sort_order(gvals) if _order is None else _order
-    zs = _linear_percentiles(gvals[order], percentiles)
+    zs = _linear_percentiles(gvals, order, percentiles)
     n, n_params = scores.shape
 
     def moments(rows):
@@ -472,7 +490,10 @@ def _lattice(values, axis, h, refine):
         # more taps than a float, an array or the memory holds
         raise ParameterDomainError(f"bandwidth {h} needs {reach:.3g} kernel taps each side: the lattice cannot be formed") from None
     taps = np.exp(-0.5 * t * t) / (width * math.sqrt(2.0 * math.pi))
-    return taps, (values - axis[0]) / delta + pad, (axis.size - 1) * refine + 2 * pad + 1
+    coords = np.subtract(values, axis[0])
+    coords /= delta
+    coords += pad
+    return taps, coords, (axis.size - 1) * refine + 2 * pad + 1
 
 
 def _block(u, size):
@@ -491,7 +512,9 @@ def _linear_bin(coords, shape, scores, centre):
     sub-cell volumes, so every column keeps its total.
 
     Each row's lowest cell node and its fractions along each axis are found
-    once.  Each column then starts from a zeroed lattice and gets
+    once, in place: the fractions overwrite ``coords`` (each ``u - floor(u)``
+    is exact), and the axis-0 node indices become each cell's flat index.
+    Each column then starts from a zeroed lattice and gets
     ``np.add.at`` of the shares times the weights, for each cell corner in
     ``itertools.product`` order and, inside a corner, for each block of
     ``CHUNK`` rows; a score column is centred block by block.  Every
@@ -505,17 +528,24 @@ def _linear_bin(coords, shape, scores, centre):
     allocates the next lattice, so a caller that releases each lattice
     before asking for the next holds only one at a time.
     """
-    low = [np.minimum(u.astype(np.intp), size - 2) for u, size in zip(coords, shape)]
-    frac = [u - i for u, i in zip(coords, low)]
-    # each row's lowest cell node; a corner adds a fixed offset to it
-    base = low[0] if len(shape) == 1 else np.ravel_multi_index(low, shape)
+    low = []
+    for u, size in zip(coords, shape):
+        i = u.astype(np.intp)
+        low.append(np.minimum(i, size - 2, out=i))
+        np.subtract(u, i, out=u)  # the fraction, in place of the coordinate
+    # each row's lowest cell node as a C-order flat index; a corner adds a fixed offset to it
+    base, *rest = low
+    for i, size in zip(rest, shape[1:]):
+        base *= size
+        base += i
+    del low, rest
     corners = [(np.ravel_multi_index(c, shape), c) for c in itertools.product((0, 1), repeat=len(shape))]
     blocks = chunk_ranges(base.size, CHUNK)
     for j in range(-1, scores.shape[1]):
         out = np.zeros(math.prod(shape))
         for offset, corner in corners:
             for start, stop in blocks:
-                parts = (f[start:stop] if c else 1.0 - f[start:stop] for f, c in zip(frac, corner))
+                parts = (f[start:stop] if c else 1.0 - f[start:stop] for f, c in zip(coords, corner))
                 shares = functools.reduce(operator.mul, parts)  # no 1 * array, as math.prod's start
                 if j >= 0:
                     shares = shares * (scores[start:stop, j] - centre[j])
@@ -652,8 +682,8 @@ def estimate_output_density(
     # column by column, the pairwise sums of run_case's score mean: an axis-0
     # reduction of the row-major scores takes ten times as long
     centre = [c.mean() for c in scores.T]
-    inside = np.logical_and.reduce([(u >= 0.0) & (u <= size - 1) for u, size in zip(coords, sizes)])
-    if not inside.all():
+    if any(u.min() < 0.0 or u.max() > size - 1 for u, size in zip(coords, sizes)):
+        inside = np.logical_and.reduce([(u >= 0.0) & (u <= size - 1) for u, size in zip(coords, sizes)])
         coords = [u[inside] for u in coords]
         scores = scores[inside]
     blocks = [_block(u, size) for u, size in zip(coords, sizes)]

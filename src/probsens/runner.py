@@ -13,7 +13,12 @@ N-length array of the base run is released after its last reader: the
 draws, the performance values and their sort order after the threshold
 sweep and the finite-difference check, which run back to back; the outputs
 and the scores after the base density.  The perturbation loop reads the
-standard normals alone.  Results go to ``curve.csv``, ``density.csv`` and
+standard normals alone, and each shifted model's draws are released once
+mapped, before its threshold counts and the KL density.  Every N-length
+array is written where it is kept (:func:`~probsens.distributions.sample`,
+:func:`~probsens.mclr.evaluate_outputs`), since a fresh ``probsens run``
+process pays a page fault for each new page it writes.  Results go to
+``curve.csv``, ``density.csv`` and
 ``report.json``; numbers are written in shortest round-trip decimal form
 so identical configurations produce byte-identical files.  Both CSV files
 go through one writer that reads a sequence of value columns and formats
@@ -290,8 +295,8 @@ def run_case(config: RunConfig) -> dict:
     all_pert_ok = True
     kl_block = None
     for db, shifted, (quad_fx, quad_fy) in zip(dbs, shifted_models, quads):
-        draws_p = shifted.from_standard(normals)
-        y_p = evaluate_outputs(case.h, draws_p)
+        # the shifted draws are released once mapped, before the sweep and the KL density
+        y_p = evaluate_outputs(case.h, shifted.from_standard(normals))
         y_p /= scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
         rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)

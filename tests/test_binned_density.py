@@ -132,7 +132,7 @@ def binnings(draw):
 def test_linear_binning_keeps_column_totals_and_means(binning):
     coords, shape, scores = binning
     # uncentred, the weight columns are the ones column and the scores as drawn
-    cells = np.array(list(_linear_bin(coords, shape, scores, np.zeros(scores.shape[1]))))
+    cells = np.array(list(_linear_bin([u.copy() for u in coords], shape, scores, np.zeros(scores.shape[1]))))
     weights = np.column_stack([np.ones(len(scores)), scores])
     assert cells.shape == (weights.shape[1],) + shape
     # rounding: relative to the column's absolute sum, plus the absolute

@@ -149,7 +149,7 @@ def test_linear_bin_matches_one_bincount_per_column(block, binning):
     weights = np.column_stack([np.ones(len(scores)), scores - centre])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mclr, "CHUNK", block)
-        cells = list(_linear_bin(coords, shape, scores, centre))
+        cells = list(_linear_bin([u.copy() for u in coords], shape, scores, centre))
     ref = bincount_linear_bin(coords, shape, weights)
     assert len(cells) == len(ref)
     assert all(_same_bits(a, b) for a, b in zip(cells, ref))

@@ -225,6 +225,29 @@ def test_density_grid_refuses_fields_that_do_not_fit(field, value):
         ps.DensityGrid(**{**_DENSITY_FIELDS, field: value})
 
 
+def _rows_then_columns(x):
+    # (rows,) on the first chunk, (rows, 1) on every later one
+    return x[:, 0] if x[0, 0] == 0.0 else x[:, :1]
+
+
+@pytest.mark.parametrize(
+    "h, draw_range",
+    [
+        # each of these once escaped: the first two as a raw ValueError from
+        # np.concatenate, the third as 4 outputs for 5000 draws
+        (lambda x: 1.0, r"\[0, 4096\)"),
+        (_rows_then_columns, r"\[4096, 5000\)"),
+        (lambda x: x[:2, 0], r"\[0, 4096\)"),
+    ],
+    ids=["scalar", "rows-then-columns", "two-rows"],
+)
+def test_evaluate_outputs_refuses_a_malformed_forward_map(h, draw_range):
+    draws = np.ones((5000, 1))
+    draws[0, 0] = 0.0  # marks the first chunk
+    with pytest.raises(ps.EvaluationError, match=r"forward map returned shape .* on draws " + draw_range):
+        ps.evaluate_outputs(h, draws)
+
+
 @pytest.mark.parametrize(
     "bandwidth, axes",
     [

@@ -303,10 +303,12 @@ def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
 def test_identity_run_memory():
     # the finite-difference check formed every row's likelihood ratios before
     # its sweep and was the run's peak, 12.1 MB traced; then the KL batch's
-    # density grid was, 8.5 MB, with the whole base batch still alive.  The
-    # peak is now the base density's, 6.24 MB (the threshold sweep's 6.15 MB)
+    # density grid was, 8.5 MB, with the whole base batch still alive; the
+    # base density's was, 6.24 MB, with the batch drawn and scored through
+    # whole-column temporaries and its lattice coordinates split apart.  The
+    # peak is now the threshold sweep's, 5.35 MB (the base density's 5.34 MB)
     config = RunConfig(case="identity", bandwidth=[0.04], seed=1)
-    assert peak_bytes(lambda: run_case(config)) < 6.5e6
+    assert peak_bytes(lambda: run_case(config)) < 5.6e6
 
 
 def test_perturbation_loop_holds_only_the_normals_of_the_base_batch(monkeypatch):

@@ -28,17 +28,27 @@ def test_stage_memory_traces_every_runner_call(capsys):
         assert name in names
     fd = names.index("estimate_gradient_fd")
     assert names[fd - 1] == "_fd_check" and tracer.calls[fd]["depth"] == tracer.calls[fd - 1]["depth"] + 1
-    # a call's peak counts toward every open caller and toward the run
+    # a call's peak and its minor faults count toward every open caller and toward the run
     for i, call in enumerate(tracer.calls):
         assert call["peak"] >= max(call["before"], call["after"])
+        assert isinstance(call["faults"], int) and call["faults"] >= 0
+        nested = 0
         for inner in tracer.calls[i + 1 :]:
             if inner["depth"] <= call["depth"]:
                 break
             assert call["peak"] >= inner["peak"]
+            nested += inner["faults"] if inner["depth"] == call["depth"] + 1 else 0
+        assert call["faults"] >= nested
     assert tracer.run_peak >= max(c["peak"] for c in tracer.calls)
+    assert tracer.run_faults >= sum(c["faults"] for c in tracer.calls if c["depth"] == 0)
 
     assert tool.main(["identity", "--seed", "1", "--samples", "2000"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split()[:4] == ["call", "before", "peak", "after"]
-    assert any(line.startswith("    estimate_gradient_fd") for line in out)
-    assert out[-1].startswith("run peak ") and out[-1].endswith(" MB")
+    assert out[0].split()[:5] == ["call", "before", "peak", "after", "faults"]
+    fd_line = next(line for line in out if line.startswith("    estimate_gradient_fd"))
+    # three traced MB figures, then a whole number of faults
+    *mbs, faults = fd_line.split()[1:]
+    assert len(mbs) == 3 and all(float(v) >= 0.0 for v in mbs) and int(faults) >= 0
+    peak, faults = out[-1].split(", ")
+    assert peak.startswith("run peak ") and peak.endswith(" MB")
+    assert faults.endswith(" minor faults") and int(faults.split()[0]) > 0

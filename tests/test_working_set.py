@@ -1,5 +1,12 @@
-"""The grid forms that bound the working set against the whole-array forms
-they replaced.
+"""The working set of each N-length stage, and the grid forms that bound
+it against the whole-array forms they replaced.
+
+``sample``, ``InputModel.from_standard``, ``InputModel.scores`` and
+``evaluate_outputs`` write each N-length result straight into the one
+array that keeps it, and the 1-D density holds two N-length arrays, the
+lattice coordinates (split in place into fractions) and the cell index.
+tracemalloc's peak is deterministic, so each bound is the arrays the
+design keeps plus a fixed allowance.
 
 ``mclr._smooth`` applies the kernel to a lattice block through one banded
 strip per axis, in 1-D and in 2-D; the dense kernel matrices it replaced,
@@ -21,8 +28,91 @@ from hypothesis import strategies as st
 
 import probsens as ps
 from conftest import peak_bytes
-from probsens import mclr, runner
+from probsens import distributions, mclr, runner
 from probsens.mclr import DENSITY_FLOOR, _REFINE, _STRIP, _block, _lattice, _smooth
+from probsens.rng import CHUNK, uniform_open
+from probsens.special import ndtri
+
+N = 100_000
+# numpy's array objects, views and the ufuncs' own buffers: far below one
+# N-length array (800 kB)
+_OBJECTS = 16e3
+_MODELS = {
+    "identity": ps.InputModel((ps.normal(1.0, 0.2),)),
+    "normal-lognormal": ps.InputModel((ps.normal(1.0, 0.2), ps.lognormal(7.88, 0.2))),
+}
+
+
+def _support_mask(model) -> int:
+    # a lognormal's support check forms one bool per row
+    return N * any(m.family == "lognormal" for m in model.marginals)
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_sample_holds_its_batch_and_one_inversion_chunk(name):
+    # identity: 3.20 MB, the normals, draws and scores alone.  Drawing and
+    # scoring through whole-column temporaries traced 5.60 MB
+    model = _MODELS[name]
+    batch = ps.sample(model, N, 1)
+    kept = batch.normals.nbytes + batch.draws.nbytes + batch.scores.nbytes
+    chunk = peak_bytes(lambda: ndtri(uniform_open(1, 0, 0, distributions._INVERSION_CHUNK)))
+    assert peak_bytes(lambda: ps.sample(model, N, 1)) <= kept + chunk + _support_mask(model) + _OBJECTS
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_draws_and_scores_trace_only_their_result(name):
+    # two marginals: stacking columns formed apart traced 3.20 MB for
+    # 1.6 MB of draws and 6.40 MB for 3.2 MB of scores
+    model = _MODELS[name]
+    batch = ps.sample(model, N, 1)
+    assert peak_bytes(lambda: model.from_standard(batch.normals)) <= batch.draws.nbytes + _OBJECTS
+    assert peak_bytes(lambda: model.scores(batch.draws)) <= batch.scores.nbytes + _support_mask(model) + _OBJECTS
+
+
+@pytest.mark.parametrize("h", [lambda x: x[:, 0], lambda x: 2.0 * x], ids=["view", "new-array"])
+def test_evaluate_outputs_traces_its_result_and_a_chunk(h):
+    # one chunk's outputs, the next chunk's as it is formed, and one
+    # chunk's finiteness mask beside the result.  A list of chunks and its
+    # concatenation traced 1.00 and 1.80 MB
+    draws = ps.sample(_MODELS["identity"], N, 1).draws
+    out = mclr.evaluate_outputs(h, draws)
+    row = out.nbytes // N
+    assert peak_bytes(lambda: mclr.evaluate_outputs(h, draws)) <= out.nbytes + CHUNK * (2 * row + row // 8) + _OBJECTS
+
+
+@pytest.mark.parametrize("shared_scores", [True, False], ids=["scores", "density-only"])
+def test_one_dimensional_density_holds_two_row_arrays(shared_scores):
+    # the lattice coordinates, split in place into fractions, and one cell
+    # index per row are the only N-length arrays, beside the grid sums, the
+    # lattice block, one strip and at most eight block-length temporaries of
+    # the binning (shares, weights and node indices of a block and the
+    # next): 2.11 MB.  The coordinates' temporaries, the clamped index's
+    # and fractions formed apart traced 3.01 MB
+    batch = ps.sample(_MODELS["identity"], N, 1)
+    y = batch.draws[:, 0].copy()
+    scores = batch.scores if shared_scores else np.empty((N, 0))
+    dg = mclr.estimate_output_density(y, scores, bandwidth=[0.04])
+    taps, coords, size = _lattice(y, dg.axes[0], dg.bandwidth[0], _REFINE[1])
+    lo, hi = _block(coords, size)
+    rows = _STRIP[1]
+    grid = dg.density.nbytes + dg.density_grad.nbytes + 8 * (hi - lo) + 8 * rows * (_REFINE[1] * (rows - 1) + taps.size)
+    bound = 2 * 8 * N + grid + taps.nbytes + 8 * 8 * CHUNK + _OBJECTS
+    assert peak_bytes(lambda: mclr.estimate_output_density(y, scores, bandwidth=[0.04])) <= bound
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_batch_scores_are_the_marginal_score_formula(name):
+    # every batch's score columns come from MarginalSpec.score's formula,
+    # bit for bit, and that formula is the plain expression
+    model = _MODELS[name]
+    batch = ps.sample(model, 3 * CHUNK + 5, 7)
+    for j, m in enumerate(model.marginals):
+        x = batch.draws[:, j]
+        dev = (np.log(x) if m.family == "lognormal" else x) - m.mu
+        s2 = m.sigma * m.sigma
+        plain = np.stack([dev / s2, (dev * dev - s2) / (s2 * m.sigma)], axis=-1)
+        assert _same_bits(batch.scores[:, 2 * j : 2 * j + 2], m.score(x))
+        assert _same_bits(m.score(x), plain)
 
 
 def _same_bits(a, b) -> bool:

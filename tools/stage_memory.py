@@ -8,9 +8,14 @@ writes its files to a temporary directory.  Every function that ``run``,
 ``run_case`` and ``_fd_check`` look up by name in ``probsens.runner`` is
 wrapped first, so the run is unmodified and calls the wrappers.  Under
 ``tracemalloc`` each call prints, indented by its nesting depth, the
-traced memory before it, at its peak and after it, in MB; the last line is
-the whole run's peak.  Import ``probsens`` from the checkout to measure,
-e.g. ``PYTHONPATH=src``.
+traced memory before it, at its peak and after it, in MB, and the minor
+page faults the process took during it (``ru_minflt`` of
+``getrusage(RUSAGE_SELF)``, nested calls included): each is one new page
+written, which a fresh process pays for and a warm one may not.  The last
+line is the whole run's peak and faults.  tracemalloc's own tables add
+pages of their own, so both figures compare two checkouts run alike and
+are not those of an untraced run.  Import ``probsens`` from the checkout
+to measure, e.g. ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import functools
 import importlib.util
 import inspect
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -39,8 +45,12 @@ def workloads(path: Path = _WORKER) -> dict:
     return module.WORKLOADS
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class StageTracer:
-    """Per-call traced memory of the wrapped functions.
+    """Per-call traced memory and minor page faults of the wrapped functions.
 
     tracemalloc keeps one peak; every wrapped call's entry and exit folds
     it into each open call and into the run's peak, then resets it, so
@@ -50,6 +60,7 @@ class StageTracer:
     def __init__(self):
         self.calls: list[dict] = []
         self.run_peak = 0
+        self.run_faults = 0
         self._open: list[dict] = []
 
     def _fold(self) -> int:
@@ -67,9 +78,11 @@ class StageTracer:
             call = {"name": name, "depth": len(self._open), "before": before, "peak": before}
             self.calls.append(call)
             self._open.append(call)
+            faults = _minor_faults()
             try:
                 return fn(*args, **kwargs)
             finally:
+                call["faults"] = _minor_faults() - faults
                 call["after"] = self._fold()
                 self._open.pop()
 
@@ -95,8 +108,10 @@ def trace_run(config: runner.RunConfig) -> StageTracer:
     tracer = StageTracer()
     originals = tracer.install(runner)
     tracemalloc.start()
+    faults = _minor_faults()
     try:
         runner.run(config)
+        tracer.run_faults = _minor_faults() - faults
         tracer._fold()
     finally:
         tracemalloc.stop()
@@ -118,11 +133,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as out_dir:
         tracer = trace_run(runner.RunConfig.from_dict(dict(settings, out_dir=out_dir)))
     mb = 1e-6
-    print(f"{'call':<40} {'before':>8} {'peak':>8} {'after':>8}   (traced MB)")
+    print(f"{'call':<40} {'before':>8} {'peak':>8} {'after':>8} {'faults':>8}   (traced MB, minor faults)")
     for call in tracer.calls:
         name = "  " * call["depth"] + call["name"]
-        print(f"{name:<40} {call['before'] * mb:8.2f} {call['peak'] * mb:8.2f} {call['after'] * mb:8.2f}")
-    print(f"run peak {tracer.run_peak * mb:.2f} MB")
+        mbs = " ".join(f"{call[key] * mb:8.2f}" for key in ("before", "peak", "after"))
+        print(f"{name:<40} {mbs} {call['faults']:8d}")
+    print(f"run peak {tracer.run_peak * mb:.2f} MB, {tracer.run_faults} minor faults")
     return 0
 
 
