@@ -264,31 +264,61 @@ def _fill(x, words, masks) -> None:
         masks.view(np.uint8)[at][:_SEP] = np.where(np.arange(_SEP) < text.size, 0xFF, 0)
 
 
-def fields(values) -> tuple[np.ndarray, np.ndarray]:
-    """The fields of the values of a 1-D float array, for :func:`lines` to
-    start its lines with."""
+def fields(values) -> np.ndarray:
+    """The fields of the values of a 1-D float array: their words, then
+    their masks, stacked in an array of shape (2, len, 6)."""
     x = np.asarray(values, dtype=np.float64)
-    words = np.empty((len(x), _WORDS), dtype=_WORD)
-    masks = np.empty_like(words)
-    _fill(x, words, masks)
-    return words, masks
+    both = np.empty((2, len(x), _WORDS), dtype=_WORD)
+    _fill(x, *both)
+    return both
 
 
-def lines(values, lead=()) -> bytes:
+def grid(axes, rows: int) -> list[tuple]:
+    """The fields of the axes of a C-order grid, for :func:`lines` of at most
+    ``rows`` consecutive grid points.
+
+    Point r's value on an axis of ``size`` values is that axis's value
+    ``(r // stride) % size``, with ``stride`` the product of the later
+    axes' sizes: one label repeated ``stride`` times, label after label,
+    cycling.  Each axis's :func:`fields` are repeated often enough that
+    the labels of any ``rows`` consecutive points are one slice of them.
+    Returns ``(fields, size, stride)`` per axis.
+    """
+    out, stride = [], 1
+    for axis in reversed(axes):
+        table = fields(axis)
+        size = table.shape[1]
+        # a slice starts within the first repeat and spans at most
+        # rows // stride + 2 labels
+        out.append((np.tile(table, (1, 2 + rows // stride // size, 1)), size, stride))
+        stride *= size
+    return out[::-1]
+
+
+def lines(values, lead=(), start=0) -> bytes:
     """The bytes of one line per row of the 2-D float array ``values``.
 
-    Each line starts with one field of each ``lead`` entry, a pair of a
-    :func:`fields` result and the index of the field each line takes, then
-    has the row's values; fields are separated by commas and every line
-    ends in a newline.
+    With ``lead`` a :func:`grid` result, line r starts with the fields of
+    the axis values of grid point ``start + r``, then has the row's values;
+    fields are separated by commas and every line ends in a newline.
     """
     x = np.asarray(values, dtype=np.float64)
-    words = np.empty((len(x), len(lead) + x.shape[1], _WORDS), dtype=_WORD)
-    masks = np.empty_like(words)
-    for j, ((lead_words, lead_masks), index) in enumerate(lead):
-        # "clip" (every index is in range) writes into the strided view unbuffered
-        np.take(lead_words, index, axis=0, out=words[:, j], mode="clip")
-        np.take(lead_masks, index, axis=0, out=masks[:, j], mode="clip")
+    rows = len(x)
+    # the words, then the masks
+    both = np.empty((2, rows, len(lead) + x.shape[1], _WORDS), dtype=_WORD)
+    for j, (table, size, stride) in enumerate(lead):
+        # the rows before the first label boundary, whole runs of stride
+        # rows, then the rest; label o is the first whole run's
+        head = min(-start % stride, rows)
+        runs, tail = divmod(rows - head, stride)
+        o = -(-start // stride) % size
+        out = both[:, :, j]
+        if head:
+            out[:, :head] = table[:, o - 1, None]
+        out[:, head : rows - tail].reshape(2, runs, stride, _WORDS, copy=False)[...] = table[:, o : o + runs, None]
+        if tail:
+            out[:, rows - tail :] = table[:, o + runs, None]
+    words, masks = both
     _fill(x, words[:, len(lead) :], masks[:, len(lead) :])
     words.view(np.uint8)[:, -1, _SEP] = ord("\n")
     # unkept slots become NUL bytes, which no field has, and go

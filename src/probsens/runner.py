@@ -17,12 +17,20 @@ standard normals alone, and each shifted model's draws are released once
 mapped, before its threshold counts and the KL density.  Every N-length
 array is written where it is kept (:func:`~probsens.distributions.sample`,
 :func:`~probsens.mclr.evaluate_outputs`), since a fresh ``probsens run``
-process pays a page fault for each new page it writes.  Results go to
-``curve.csv``, ``density.csv`` and
-``report.json``; numbers are written in shortest round-trip decimal form
-so identical configurations produce byte-identical files.  Both CSV files
-go through one writer that reads a sequence of value columns and formats
-and writes their rows block by block.  Every CSV field is what
+process pays a page fault for each new page it writes.
+
+A case runs in two stages.  The base stage (:func:`_base_stage`) samples,
+maps, sweeps and FD-checks the base batch, then forms its density grid,
+both informations and the chain check: everything the CSV files read.  The
+perturbation stage (:func:`_perturbation_stage`) maps the shifted batches
+and adds the perturbation bounds, the KL block and the grid sums.  Results
+go to ``curve.csv``, ``density.csv`` and ``report.json``; :func:`run`
+writes the CSV files in a forked writer process while this process runs
+the perturbation stage, and moves the three files into place together
+only when the run completes.  Numbers are written in shortest round-trip
+decimal form so identical configurations produce byte-identical files.
+Both CSV files go through one writer that reads a sequence of value
+columns and formats and writes their rows block by block.  Every CSV field is what
 ``repr(float)`` prints: the shortest decimal that reads back as the
 same double, found for a whole block at once by the Schubfach algorithm
 (R. Giulietti, "The Schubfach way to render doubles", 2020) in
@@ -37,13 +45,16 @@ once.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import numbers
+import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +71,7 @@ from .bounds import (
 from .criteria import evaluate, theorem_suites
 from .distributions import InputModel, _integer as _index, _seed, normal, sample
 from .errors import ConfigError
+from .fisher import FisherMatrix
 from .mclr import (
     _FD_REL_STEP,
     _sort_order,
@@ -229,7 +241,27 @@ def run_case(config: RunConfig) -> dict:
     """Execute one case study and return the full report as a plain dict."""
     if config.case == "discrete-oracle":
         return _run_discrete_oracle(config)
+    return _perturbation_stage(config, *_base_stage(config))
 
+
+class _Base(NamedTuple):
+    """What the perturbation stage reads of the base stage."""
+
+    case: CaseStudy
+    # (db, shifted model, (db' F_x db, db' F_y db)) per perturbation
+    shifts: list
+    normals: np.ndarray
+    scale: np.ndarray | float
+    f_y: FisherMatrix
+    f_x: FisherMatrix
+    bounds_ok: bool
+
+
+def _base_stage(config: RunConfig) -> tuple[dict, _Base]:
+    """Sample, map, sweep and FD-check the base batch, then its density,
+    the two informations and the chain check.  Returns the report's first
+    part, every value the CSV files read among them, and what the
+    perturbation stage reads."""
     case = build_case(config)
     if config.bandwidth is not None and len(config.bandwidth) not in (1, case.n_outputs):
         raise ConfigError(
@@ -275,7 +307,6 @@ def run_case(config: RunConfig) -> dict:
     quads = [(f_x.quad_form(db), f_y.quad_form(db)) for db in dbs]
 
     chain = check_sensitivity_bound(curve, f_y)
-    chain_ok = bool(np.all(chain.satisfied))
     columns = {
         "percentile": config.percentiles,
         "z": curve.z.tolist(),
@@ -286,18 +317,48 @@ def run_case(config: RunConfig) -> dict:
         "norm_le_tr_fy": chain.satisfied.tolist(),
         "margin": chain.margin.tolist(),
     }
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     info_rep = info_processing_check(f_y, f_x)
+    param_names = list(model.param_names)
+    report = {
+        "case": case.name,
+        "tr_fx": f_x.trace,
+        "tr_fy": f_y.trace,
+        "param_names": param_names,
+        "direction": case.direction,
+        "rows": [dict(zip(columns, row)) for row in zip(*columns.values())],
+        "info_processing": info_rep.to_dict(),
+        "gradient_fd_check": fd_check,
+        "provenance": {
+            "package_version": _VERSION,
+            "seed": config.seed,
+            "n_samples": config.n_samples,
+            "config": config.provenance_dict(),
+        },
+        # in memory only: stripped before serialisation (_pop_private)
+        "_curve": curve,
+        "_density_grid": dg,
+        "_scores": score_moments,
+    }
+    bounds_ok = bool(np.all(chain.satisfied) and info_rep.satisfied)
+    shifts = list(zip(dbs, shifted_models, quads))
+    return report, _Base(case, shifts, normals, scale, f_y, f_x, bounds_ok)
 
+
+def _perturbation_stage(config: RunConfig, report: dict, base: _Base) -> dict:
+    """The perturbation bounds and the KL block of the base stage's report;
+    completes the report and returns it."""
+    case, f_y, f_x = base.case, base.f_y, base.f_x
+    curve, dg = report["_curve"], report["_density_grid"]
+    n = config.n_samples
     # perturbation bound on paired runs: each shifted model maps the base
     # batch's standard normals, so the pairs share their random numbers
     perturbation_reports = []
     all_pert_ok = True
     kl_block = None
-    for db, shifted, (quad_fx, quad_fy) in zip(dbs, shifted_models, quads):
+    for db, shifted, (quad_fx, quad_fy) in base.shifts:
         # the shifted draws are released once mapped, before the sweep and the KL density
-        y_p = evaluate_outputs(case.h, shifted.from_standard(normals))
-        y_p /= scale
+        y_p = evaluate_outputs(case.h, shifted.from_standard(base.normals))
+        y_p /= base.scale
         pf_p = _threshold_sums(case.g(y_p), curve.z, case.direction)[0] / n
         rx = check_perturbation_bound(curve.p_f, pf_p, db, f_x)
         ry = check_perturbation_bound(curve.p_f, pf_p, db, f_y)
@@ -334,35 +395,17 @@ def run_case(config: RunConfig) -> dict:
                 "rel_err_reverse_fx": kl_quadratic_consistency(f_x, db, kl_rev),
             }
 
-    all_ok = bool(chain_ok and info_rep.satisfied and all_pert_ok)
-    param_names = list(model.param_names)
-    return {
-        "case": case.name,
-        "all_bounds_satisfied": all_ok,
-        "tr_fx": f_x.trace,
-        "tr_fy": f_y.trace,
-        "param_names": param_names,
-        "direction": case.direction,
-        "rows": rows,
-        "info_processing": info_rep.to_dict(),
-        "gradient_fd_check": fd_check,
-        "perturbations": perturbation_reports,
-        "kl_consistency": kl_block,
-        "density": {
-            "bandwidth": [float(v) for v in dg.bandwidth],
-            "mass": dg.mass(),
-            "grad_mass": [dg.grad_mass(j) for j in range(len(param_names))],
-        },
-        "provenance": {
-            "package_version": _VERSION,
-            "seed": config.seed,
-            "n_samples": config.n_samples,
-            "config": config.provenance_dict(),
-        },
-        # in memory only: stripped before serialisation (_pop_private)
-        "_density_grid": dg,
-        "_scores": score_moments,
+    report["all_bounds_satisfied"] = bool(base.bounds_ok and all_pert_ok)
+    report["perturbations"] = perturbation_reports
+    report["kl_consistency"] = kl_block
+    # the grid sums come last, where the loop's freed memory serves their
+    # temporaries: before the loop they raised the beam run's resident mark
+    report["density"] = {
+        "bandwidth": [float(v) for v in dg.bandwidth],
+        "mass": dg.mass(),
+        "grad_mass": [dg.grad_mass(j) for j in range(len(report["param_names"]))],
     }
+    return report
 
 
 def _fd_check(case, batch, gvals, curve, percentiles, order=None) -> dict:
@@ -421,6 +464,9 @@ def _run_discrete_oracle(config: RunConfig) -> dict:
 # rows formatted per write: the writer holds one block's bytes, whatever the
 # table's length; 2048-row blocks raised the beam run's resident high-water mark
 _BLOCK_ROWS = 1024
+# the longest failure message a writer process sends back: one pipe write
+# of at most PIPE_BUF bytes never blocks on an empty pipe
+_MESSAGE_BYTES = 512
 
 
 def _write_csv(path: Path, header: list[str], columns, labels: tuple[np.ndarray, ...] = ()) -> None:
@@ -434,66 +480,156 @@ def _write_csv(path: Path, header: list[str], columns, labels: tuple[np.ndarray,
     Schubfach algorithm, R. Giulietti 2020): positional when its decimal
     point position ``decpt`` satisfies ``-4 < decpt <= 16``, otherwise
     ``d.ddde±XX`` with at least two exponent digits; NaN, infinities and
-    subnormals take ``repr`` itself.  Each axis is formatted once; rows are
-    formatted and written in blocks of ``_BLOCK_ROWS``, each read through a
-    slice of every column and written with one ``write``, so the writer's
-    memory does not grow with the table and no table is stacked from the
-    columns.  Every field is a number or a header name: nothing needs
-    quoting.
+    subnormals take ``repr`` itself.  Each axis is formatted once, and a
+    block's label fields are copied from runs of them, with no index per
+    row (:func:`probsens._floatfmt.grid`); rows are formatted and written
+    in blocks of ``_BLOCK_ROWS``, each read through a slice of every column
+    and written with one ``write``, so the writer's memory does not grow
+    with the table and no table is stacked from the columns.  Every field
+    is a number or a header name: nothing needs quoting.
     """
-    shape = tuple(map(len, labels))
-    axes = [_floatfmt.fields(axis) for axis in labels]
+    grid = _floatfmt.grid(labels, _BLOCK_ROWS)
     with path.open("wb") as fh:
         fh.write(f"{','.join(header)}\n".encode())
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             values = np.stack([column[start : start + _BLOCK_ROWS] for column in columns], axis=1)
-            index = np.unravel_index(np.arange(start, start + len(values)), shape) if labels else ()
-            fh.write(_floatfmt.lines(values, list(zip(axes, index))))
+            fh.write(_floatfmt.lines(values, grid, start))
+
+
+def _tables(report: dict) -> dict[str, tuple]:
+    """The CSV files of a report, by name: header, value columns and grid
+    axes for :func:`_write_csv`.
+
+    curve.csv has one line per threshold, read from the curve's columns
+    and the two traces; density.csv one line per grid point, its value
+    columns raveled views of the density grid and of its derivative grids.
+    Each file is there when the report holds its source.
+    """
+    tables = {}
+    names = report.get("param_names")
+    curve, dg = report.get("_curve"), report.get("_density_grid")
+    if curve is not None:
+        grads = [f"grad_{name}" for name in names]
+        header = ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"]
+        percentiles = np.array(report["provenance"]["config"]["percentiles"])
+        traces = [np.full(len(curve), report[key]) for key in ("tr_fy", "tr_fx")]
+        columns = [percentiles, curve.z, curve.p_f, curve.std_err_pf, *curve.gradient.T, curve.grad_norm_sq, *traces]
+        tables["curve.csv"] = (header, columns, ())
+    if dg is not None:
+        axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
+        header = axes + ["density"] + [f"d_density_{name}" for name in names]
+        tables["density.csv"] = (header, [v.ravel() for v in (dg.density, *dg.density_grad)], dg.axes)
+    return tables
+
+
+def _write_tables(tables: dict[str, tuple], paths: dict[str, Path]) -> None:
+    """Write each table of :func:`_tables` to its path in ``paths``."""
+    for name, (header, columns, labels) in tables.items():
+        _write_csv(paths[name], header, columns, labels)
+
+
+def _attempt(write: Callable[[], None]) -> str | None:
+    """The failure of ``write()`` as a message, or None when it succeeds."""
+    try:
+        write()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _start(write: Callable[[], None]) -> Callable[[], str | None]:
+    """Call ``write()`` in a forked child process, or in this process where
+    ``os.fork`` does not exist.  Returns ``finish``: it waits for the child,
+    once, and gives the failure of ``write`` as a message (sent through a
+    pipe), or None.  The child always leaves through ``os._exit``, so it
+    never returns into the caller and flushes no buffer it shares with this
+    process."""
+    if not hasattr(os, "fork"):
+        message = _attempt(write)
+        return lambda: message
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            message = _attempt(write)
+            if message is None:
+                status = 0
+            else:
+                os.write(write_fd, message.encode(errors="replace")[:_MESSAGE_BYTES])
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    @functools.cache
+    def finish() -> str | None:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        message = os.read(read_fd, _MESSAGE_BYTES).decode(errors="replace")
+        os.close(read_fd)
+        return message or (f"the writer process ended with status {status}" if status else None)
+
+    return finish
+
+
+@contextlib.contextmanager
+def _output_set(report: dict, out_dir: str):
+    """Write the files of ``report`` to ``out_dir``, all or nothing.
+
+    The CSV files the report holds so far (:func:`_tables`) are started in
+    a writer process (:func:`_start`) under temporary names.  The caller
+    passes the completed report to the yielded ``commit``, which writes
+    report.json under a temporary name, waits for the writer, raises
+    ``OSError`` with its message if it failed, and moves every file into
+    place.  However the block ends, the writer has been waited for and no
+    temporary is left; unless ``commit`` moved the files, ``out_dir`` is as
+    it was, and a directory made for it is removed again.
+    """
+    out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    tables = _tables(report)
+    names = [*tables, "report.json"]
+    staged = {name: out / f".{name}.{os.getpid()}.tmp" for name in names}
+    finish = _start(functools.partial(_write_tables, tables, staged)) if tables else lambda: None
+    written = []
+
+    def commit(final: dict) -> list[str]:
+        _pop_private(final)
+        with staged["report.json"].open("w", newline="") as fh:
+            json.dump(final, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        message = finish()
+        if message is not None:
+            raise OSError(f"writing the CSV files failed: {message}")
+        for name in names:
+            os.replace(staged[name], out / name)
+            written.append(str(out / name))
+        return written
+
+    try:
+        yield commit
+    finally:
+        finish()
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        if not written:
+            for d in made:
+                with contextlib.suppress(OSError):
+                    d.rmdir()
 
 
 def write_outputs(report: dict, out_dir: str) -> list[str]:
-    """Write curve.csv, density.csv and report.json; returns the paths.
-
-    Both CSV files go through :func:`_write_csv`, block by block.  Every
-    field is the shortest round-trip decimal that ``repr(float)`` prints,
-    found by the Schubfach algorithm (R. Giulietti, "The Schubfach way to
-    render doubles", 2020) for a whole block at once and laid out by
-    CPython's rule: positional when ``-4 < decpt <= 16``, otherwise with an
-    exponent of at least two digits; NaN, infinities and subnormals take
-    ``repr`` itself.  The density file's value columns are raveled views of
-    the density grid and of its derivative grids, so writing it stacks no
-    table and holds one block's bytes, not the whole file's; the bytes are
-    those of formatting every row at once.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    dg = _pop_private(report).get("_density_grid")
-    param_names = report.get("param_names")
-    rows = report.get("rows")
-    if rows:
-        path = out / "curve.csv"
-        keys = ("percentile", "z", "p_f", "std_err_pf", "gradient", "grad_norm_sq")
-        table = np.array([np.hstack([*(row[k] for k in keys), report["tr_fy"], report["tr_fx"]]) for row in rows])
-        grads = [f"grad_{name}" for name in param_names]
-        _write_csv(path, ["percentile", "z", "p_f", "std_err_pf", *grads, "grad_norm_sq", "tr_fy", "tr_fx"], table.T)
-        written.append(str(path))
-
-    if dg is not None:
-        path = out / "density.csv"
-        axes = ["y"] if dg.ndim == 1 else [f"y{i + 1}" for i in range(dg.ndim)]
-        columns = [v.ravel() for v in (dg.density, *dg.density_grad)]
-        header = axes + ["density"] + [f"d_density_{nm}" for nm in param_names]
-        _write_csv(path, header, columns, labels=dg.axes)
-        written.append(str(path))
-
-    path = out / "report.json"
-    with path.open("w", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(str(path))
-    return written
+    """Write the curve.csv, density.csv and report.json of a finished
+    report, all or nothing, the CSV files (:func:`_tables`) by a writer
+    process as in :func:`run`; returns the paths."""
+    with _output_set(report, out_dir) as commit:
+        return commit(report)
 
 
 def _pop_private(report: dict) -> dict:
@@ -503,12 +639,39 @@ def _pop_private(report: dict) -> dict:
 
 
 def run(config: RunConfig) -> tuple[dict, int]:
-    """Run a case, write outputs if configured, return (report, exit code)."""
-    report = run_case(config)
-    if config.out_dir:
-        write_outputs(report, config.out_dir)
+    """Run a case, write its files if ``out_dir`` is set, and return
+    (report, exit code).
+
+    Two processes write the files.  Once the base stage has returned
+    (:func:`_base_stage`: the curve, both traces and the density grid),
+    a forked writer process writes curve.csv and density.csv under
+    temporary names in ``out_dir``, while this process runs the
+    perturbation stage.  This process then writes report.json under a
+    temporary name, waits for the writer, and moves the three files into
+    place with ``os.replace`` only when both sides have succeeded; a
+    failure on either side removes the temporaries and leaves ``out_dir``
+    as it was (:func:`_output_set`).  A failure in the writer raises
+    ``OSError`` with its message.  The oracle writes report.json alone and
+    starts no writer.  Where ``os.fork`` does not exist, the same writer
+    runs in this process first.
+
+    The writer is safe to fork although a multi-threaded BLAS may run
+    threads in this process: the child formats and writes with numpy's
+    element-wise, copying and reducing routines alone, so it calls no BLAS
+    routine and takes no lock that a BLAS thread could hold at the fork,
+    other than the allocator's, which the C library's ``fork`` leaves
+    consistent in the child.  It imports nothing, prints nothing and
+    leaves through ``os._exit``.
+    """
+    if config.case == "discrete-oracle" or not config.out_dir:
+        report = run_case(config)
+        if config.out_dir:
+            write_outputs(report, config.out_dir)
     else:
-        _pop_private(report)
+        report, base = _base_stage(config)
+        with _output_set(report, config.out_dir) as commit:
+            commit(_perturbation_stage(config, report, base))
+    _pop_private(report)
     return report, (0 if report["all_bounds_satisfied"] else 1)
 
 

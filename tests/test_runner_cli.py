@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -192,6 +193,26 @@ def test_density_csv_rows_match_per_point_loop(tmp_path, monkeypatch, shape):
         assert (tmp_path / "density.csv").read_text().splitlines() == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3), block=st.integers(1, 40))
+def test_grid_labels_match_per_point_loop_for_any_block(shape, block):
+    # a block's label fields are copied from runs of each axis's fields:
+    # blocks that start and end anywhere in a row, on grids of one to three
+    # axes, where the middle axis's labels cycle within a block
+    rng = np.random.default_rng(block)
+    axes = tuple(rng.normal(size=n) for n in shape)
+    column = rng.normal(size=math.prod(shape))
+    expected = [
+        ",".join(repr(float(v)) for v in [*(ax[i] for ax, i in zip(axes, idx)), column[k]])
+        for k, idx in enumerate(np.ndindex(*shape))
+    ]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK_ROWS", block)
+        path = Path(tmp) / "g.csv"
+        runner._write_csv(path, ["h"], [column], labels=axes)
+        assert path.read_text().splitlines()[1:] == expected
+
+
 # the shortest round-trip form switches between exponent and positional
 # notation at 1e16 and 1e-4
 _EDGE_FLOATS = [
@@ -285,9 +306,11 @@ def test_formatter_tables_match_their_first_construction():
         assert not tables[name].flags.writeable, name
 
 
-def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
+def test_density_csv_writer_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     # the beam's grid: 256 x 256 points, four parameter derivatives (7.3 MB
-    # of text); holding every line's strings at once takes about 29 MB
+    # of text); holding every line's strings at once takes about 29 MB.  The
+    # writer runs in this process, where tracemalloc sees it
+    monkeypatch.delattr(os, "fork")
     rng = np.random.default_rng(5)
     shape = (256, 256)
     dg = DensityGrid(

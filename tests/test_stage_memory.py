@@ -1,11 +1,15 @@
 """Smoke test of ``tools/stage_memory.py``, the per-stage memory tracer."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from probsens import runner
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_memory.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOL = _ROOT / "tools" / "stage_memory.py"
 
 
 def _load():
@@ -15,7 +19,7 @@ def _load():
     return module
 
 
-def test_stage_memory_traces_every_runner_call(capsys):
+def test_stage_memory_traces_every_runner_call():
     tool = _load()
     assert set(tool.workloads()) == {"identity", "beam", "oracle"}
     originals = dict(vars(runner))
@@ -24,7 +28,11 @@ def test_stage_memory_traces_every_runner_call(capsys):
     assert all(vars(runner)[name] is fn for name, fn in originals.items())
 
     names = [call["name"] for call in tracer.calls]
-    for name in ("run_case", "sample", "evaluate_outputs", "sensitivity_curve", "estimate_output_density"):
+    # run's stages in its order, the CSV writer between them, in this process
+    assert [c["name"] for c in tracer.calls if c["depth"] == 0] == ["_base_stage", "_write_tables", "_perturbation_stage"]
+    writer = names.index("_write_tables")
+    assert [(c["name"], c["depth"]) for c in tracer.calls[writer + 1 : writer + 3]] == [("_write_csv", 1)] * 2
+    for name in ("sample", "evaluate_outputs", "sensitivity_curve", "estimate_output_density", "estimate_kl"):
         assert name in names
     fd = names.index("estimate_gradient_fd")
     assert names[fd - 1] == "_fd_check" and tracer.calls[fd]["depth"] == tracer.calls[fd - 1]["depth"] + 1
@@ -42,13 +50,26 @@ def test_stage_memory_traces_every_runner_call(capsys):
     assert tracer.run_peak >= max(c["peak"] for c in tracer.calls)
     assert tracer.run_faults >= sum(c["faults"] for c in tracer.calls if c["depth"] == 0)
 
-    assert tool.main(["identity", "--seed", "1", "--samples", "2000"]) == 0
-    out = capsys.readouterr().out.splitlines()
+    oracle = tool.trace_run(runner.RunConfig(case="discrete-oracle"))
+    assert [(c["name"], c["depth"]) for c in oracle.calls] == [("run_case", 0), ("_run_discrete_oracle", 1)]
+
+
+def test_stage_memory_prints_each_call_of_a_fresh_run():
+    # a fresh process, as the tool is run: a process that has already run
+    # cases may reuse every page the run writes and take no fault
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(_TOOL), "identity", "--seed", "1", "--samples", "2000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
     assert out[0].split()[:5] == ["call", "before", "peak", "after", "faults"]
     fd_line = next(line for line in out if line.startswith("    estimate_gradient_fd"))
     # three traced MB figures, then a whole number of faults
     *mbs, faults = fd_line.split()[1:]
     assert len(mbs) == 3 and all(float(v) >= 0.0 for v in mbs) and int(faults) >= 0
+    assert any(line.startswith("  _write_csv ") for line in out)
     peak, faults = out[-1].split(", ")
     assert peak.startswith("run peak ") and peak.endswith(" MB")
     assert faults.endswith(" minor faults") and int(faults.split()[0]) > 0

@@ -2,20 +2,24 @@
 
 Usage: python3 tools/stage_memory.py WORKLOAD [--seed N] [--samples N]
 
-Runs ``probsens.runner.run`` once on the configuration of a perfbench
-workload (``WORKLOADS`` in ``perfbench/worker.py``, read, not edited) and
-writes its files to a temporary directory.  Every function that ``run``,
-``run_case`` and ``_fd_check`` look up by name in ``probsens.runner`` is
-wrapped first, so the run is unmodified and calls the wrappers.  Under
-``tracemalloc`` each call prints, indented by its nesting depth, the
-traced memory before it, at its peak and after it, in MB, and the minor
-page faults the process took during it (``ru_minflt`` of
-``getrusage(RUSAGE_SELF)``, nested calls included): each is one new page
-written, which a fresh process pays for and a warm one may not.  The last
-line is the whole run's peak and faults.  tracemalloc's own tables add
-pages of their own, so both figures compare two checkouts run alike and
-are not those of an untraced run.  Import ``probsens`` from the checkout
-to measure, e.g. ``PYTHONPATH=src``.
+Runs the stages of ``probsens.runner.run`` once, in this process, on the
+configuration of a perfbench workload (``WORKLOADS`` in
+``perfbench/worker.py``, read, not edited): the base stage, the CSV
+writer into a temporary directory, then the perturbation stage; the oracle
+is one ``run_case``.  ``run`` itself hands the CSV files to a forked writer
+process, whose figures would leave with it, so the tool calls the same
+writer here instead and writes no report.json.  The stages, and every
+function that they and ``_fd_check`` look up by name in
+``probsens.runner``, are wrapped first, so the stages run unmodified and
+call the wrappers.  Under ``tracemalloc`` each call prints, indented by
+its nesting depth, the traced memory before it, at its peak and after it,
+in MB, and the minor page faults the process took during it
+(``ru_minflt`` of ``getrusage(RUSAGE_SELF)``, nested calls included): each
+is one new page written, which a fresh process pays for and a warm one may
+not.  The last line is the whole run's peak and faults.  tracemalloc's own
+tables add pages of their own, so both figures compare two checkouts run
+alike and are not those of an untraced run.  Import ``probsens`` from the
+checkout to measure, e.g. ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from pathlib import Path
 from probsens import runner
 
 _WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
-# the runner functions whose global lookups are wrapped
-_CALLERS = ("run", "run_case", "_fd_check")
+# the stages the tool calls, wrapped with every function they look up
+_STAGES = ("run_case", "_base_stage", "_write_tables", "_perturbation_stage")
+_CALLERS = (*_STAGES, "_fd_check")
 
 
 def workloads(path: Path = _WORKER) -> dict:
@@ -89,12 +94,12 @@ class StageTracer:
         return traced
 
     def install(self, module) -> dict:
-        """Wrap every module-level function the callers look up; returns the
-        wrapped functions by name."""
+        """Wrap the stages and every module-level function the callers look
+        up; returns the wrapped functions by name."""
         originals = {
             name: vars(module)[name]
             for caller in _CALLERS
-            for name in getattr(module, caller).__code__.co_names
+            for name in (caller, *getattr(module, caller).__code__.co_names)
             if inspect.isfunction(vars(module).get(name))
         }
         for name, fn in originals.items():
@@ -102,15 +107,29 @@ class StageTracer:
         return originals
 
 
+def _run_stages(config: runner.RunConfig, out_dir: Path) -> None:
+    """The stages of one ``runner.run``, in its order, in this process."""
+    if config.case == "discrete-oracle":
+        runner.run_case(config)
+        return
+    report, base = runner._base_stage(config)
+    tables = runner._tables(report)
+    runner._write_tables(tables, {name: out_dir / name for name in tables})
+    del tables
+    runner._perturbation_stage(config, report, base)
+
+
 def trace_run(config: runner.RunConfig) -> StageTracer:
-    """One ``runner.run`` of ``config`` under the tracer; the runner's names
-    are restored afterwards."""
+    """The stages of one run of ``config`` under the tracer, the CSV files
+    written to a temporary directory; the runner's names are restored
+    afterwards."""
     tracer = StageTracer()
     originals = tracer.install(runner)
     tracemalloc.start()
     faults = _minor_faults()
     try:
-        runner.run(config)
+        with tempfile.TemporaryDirectory() as out_dir:
+            _run_stages(config, Path(out_dir))
         tracer.run_faults = _minor_faults() - faults
         tracer._fold()
     finally:
@@ -130,8 +149,7 @@ def main(argv=None) -> int:
     settings = dict(known[args.workload], seed=args.seed)
     if args.samples is not None:
         settings["n_samples"] = args.samples
-    with tempfile.TemporaryDirectory() as out_dir:
-        tracer = trace_run(runner.RunConfig.from_dict(dict(settings, out_dir=out_dir)))
+    tracer = trace_run(runner.RunConfig.from_dict(settings))
     mb = 1e-6
     print(f"{'call':<40} {'before':>8} {'peak':>8} {'after':>8} {'faults':>8}   (traced MB, minor faults)")
     for call in tracer.calls:
