@@ -29,7 +29,7 @@ def _load_config(args, **defaults) -> RunConfig:
         data["seed"] = args.seed
     if args.samples is not None:
         data["n_samples"] = args.samples
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         data["out_dir"] = args.out
     return RunConfig.from_dict(data)
 
@@ -64,7 +64,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", choices=CASES, help="case study to run")
     p.add_argument("--seed", type=int, metavar="N")
     p.add_argument("--samples", type=int, metavar="N")
-    p.add_argument("--out", metavar="DIR", help="output directory for csv/json files")
 
 
 def main(argv=None) -> int:
@@ -75,13 +74,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a case study end to end and certify all bounds")
-    _add_common(p_run)
-
-    p_verify = sub.add_parser("verify", help="run the reduced-scale invariant suite")
-    _add_common(p_verify)
-
+    p_verify = sub.add_parser("verify", help="run the reduced-scale invariant suite; writes no files")
     p_print = sub.add_parser("print-config", help="dump the default configuration for a case")
-    _add_common(p_print)
+    for p in (p_run, p_verify, p_print):
+        _add_common(p)
+    for p in (p_run, p_print):
+        p.add_argument("--out", metavar="DIR", help="output directory for csv/json files")
 
     args = parser.parse_args(argv)
 

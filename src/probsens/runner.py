@@ -19,18 +19,19 @@ array is written where it is kept (:func:`~probsens.distributions.sample`,
 :func:`~probsens.mclr.evaluate_outputs`), since a fresh ``probsens run``
 process pays a page fault for each new page it writes.
 
-A case runs in two stages.  The base stage (:func:`_base_stage`) samples,
-maps, sweeps and FD-checks the base batch, then forms its density grid,
-both informations and the chain check: everything the CSV files read.  The
-perturbation stage (:func:`_perturbation_stage`) maps the shifted batches
-and adds the perturbation bounds, the KL block and the grid sums.  Results
-go to ``curve.csv``, ``density.csv`` and ``report.json``; :func:`run`
-writes the CSV files in a forked writer process while this process runs
-the perturbation stage, and moves the three files into place together
-only when the run completes.  Numbers are written in shortest round-trip
-decimal form so identical configurations produce byte-identical files.
-Both CSV files go through one writer that reads a sequence of value
-columns and formats and writes their rows block by block.  Every CSV field is what
+A case runs in two stages, in the one order of :func:`_run`.  The base
+stage (:func:`_base_stage`) samples, maps, sweeps and FD-checks the base
+batch, then forms its density grid, both informations and the chain
+check: everything the CSV files read.  The perturbation stage
+(:func:`_perturbation_stage`) maps the shifted batches and adds the
+perturbation bounds, the KL block and the grid sums.  With ``out_dir``
+set, a forked writer process writes ``curve.csv`` and ``density.csv``
+while this process runs the perturbation stage, and they move into place
+with ``report.json`` only when the run completes.  Numbers are written in
+shortest round-trip decimal form so identical configurations produce
+byte-identical files.  Both CSV files go through one writer that reads a
+sequence of value columns and formats and writes their rows block by
+block.  Every CSV field is what
 ``repr(float)`` prints: the shortest decimal that reads back as the
 same double, found for a whole block at once by the Schubfach algorithm
 (R. Giulietti, "The Schubfach way to render doubles", 2020) in
@@ -238,10 +239,19 @@ def _auto_perturbations(model: InputModel, scale: float) -> list[np.ndarray]:
 
 
 def run_case(config: RunConfig) -> dict:
-    """Execute one case study and return the full report as a plain dict."""
-    if config.case == "discrete-oracle":
-        return _run_discrete_oracle(config)
-    return _perturbation_stage(config, *_base_stage(config))
+    """The full report of one case study, in-memory ``_`` entries included:
+    :func:`_run` with ``out_dir`` unset, so it writes no file."""
+    return _run(replace(config, out_dir=None))
+
+
+def _run(config: RunConfig) -> dict:
+    """The stages in their one order: the oracle or the base stage, then the
+    output set (:func:`_output_set`) and the perturbation stage."""
+    oracle = config.case == "discrete-oracle"
+    report, base = (_run_discrete_oracle(config), None) if oracle else _base_stage(config)
+    with _output_set(report, config.out_dir) as commit:
+        commit(report if oracle else _perturbation_stage(config, report, base))
+    return report
 
 
 class _Base(NamedTuple):
@@ -578,8 +588,9 @@ def _start(write: Callable[[], None]) -> Callable[[], str | None]:
 
 
 @contextlib.contextmanager
-def _output_set(report: dict, out_dir: str):
-    """Write the files of ``report`` to ``out_dir``, all or nothing.
+def _output_set(report: dict, out_dir: str | None):
+    """Write the files of ``report`` to ``out_dir``, all or nothing; where
+    ``out_dir`` is unset, the yielded ``commit`` does nothing.
 
     The CSV files the report holds so far (:func:`_tables`) are started in
     a writer process (:func:`_start`) under temporary names.  The caller
@@ -590,6 +601,9 @@ def _output_set(report: dict, out_dir: str):
     temporary is left; unless ``commit`` moved the files, ``out_dir`` is as
     it was, and a directory made for it is removed again.
     """
+    if not out_dir:
+        yield lambda final: []
+        return
     out = Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -639,21 +653,20 @@ def _pop_private(report: dict) -> dict:
 
 
 def run(config: RunConfig) -> tuple[dict, int]:
-    """Run a case, write its files if ``out_dir`` is set, and return
-    (report, exit code).
+    """Run a case (:func:`_run`), write its files if ``out_dir`` is set, and
+    return (report, exit code), the report without its in-memory entries.
 
-    Two processes write the files.  Once the base stage has returned
-    (:func:`_base_stage`: the curve, both traces and the density grid),
-    a forked writer process writes curve.csv and density.csv under
-    temporary names in ``out_dir``, while this process runs the
-    perturbation stage.  This process then writes report.json under a
-    temporary name, waits for the writer, and moves the three files into
+    Two processes write the files.  Once the base stage has returned (the
+    curve, both traces and the density grid), a forked writer process
+    writes curve.csv and density.csv under temporary names in ``out_dir``,
+    while this process runs the perturbation stage, then writes
+    report.json, waits for the writer, and moves the three files into
     place with ``os.replace`` only when both sides have succeeded; a
-    failure on either side removes the temporaries and leaves ``out_dir``
-    as it was (:func:`_output_set`).  A failure in the writer raises
-    ``OSError`` with its message.  The oracle writes report.json alone and
-    starts no writer.  Where ``os.fork`` does not exist, the same writer
-    runs in this process first.
+    failure on either side leaves ``out_dir`` as it was
+    (:func:`_output_set`).  A failure in the writer raises ``OSError`` with
+    its message.  The oracle writes report.json alone and starts no
+    writer.  Where ``os.fork`` does not exist, the writer runs in this
+    process first.
 
     The writer is safe to fork although a multi-threaded BLAS may run
     threads in this process: the child formats and writes with numpy's
@@ -663,14 +676,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
     consistent in the child.  It imports nothing, prints nothing and
     leaves through ``os._exit``.
     """
-    if config.case == "discrete-oracle" or not config.out_dir:
-        report = run_case(config)
-        if config.out_dir:
-            write_outputs(report, config.out_dir)
-    else:
-        report, base = _base_stage(config)
-        with _output_set(report, config.out_dir) as commit:
-            commit(_perturbation_stage(config, report, base))
+    report = _run(config)
     _pop_private(report)
     return report, (0 if report["all_bounds_satisfied"] else 1)
 
@@ -681,7 +687,8 @@ def verify(config: RunConfig, cases: tuple[str, ...] = ("identity", "sho")) -> i
     Each case, and the discrete oracle, is one :func:`run_case` on ``config``
     with its case replaced, judged by the :mod:`probsens.criteria` table,
     whose Monte-Carlo tolerances widen by sqrt(1e5 / N); the theorem suites
-    follow at the config's seed.  One line is printed per outcome.
+    follow at the config's seed.  One line is printed per outcome, and no
+    file is written, whatever ``out_dir`` holds.
     """
     outcomes = [
         outcome._replace(name=f"{case}: {outcome.name}")

@@ -4,7 +4,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from probsens import runner
 
@@ -22,16 +25,22 @@ def _load():
 def test_stage_memory_traces_every_runner_call():
     tool = _load()
     assert set(tool.workloads()) == {"identity", "beam", "oracle"}
-    originals = dict(vars(runner))
+    originals, fork = dict(vars(runner)), os.fork
     config = runner.RunConfig(case="identity", n_samples=2000, bandwidth=[0.04])
     tracer = tool.trace_run(config)
-    assert all(vars(runner)[name] is fn for name, fn in originals.items())
+    assert all(vars(runner)[name] is fn for name, fn in originals.items()) and os.fork is fork
 
     names = [call["name"] for call in tracer.calls]
-    # run's stages in its order, the CSV writer between them, in this process
-    assert [c["name"] for c in tracer.calls if c["depth"] == 0] == ["_base_stage", "_write_tables", "_perturbation_stage"]
+    # run's call tree: its stages in their order, the CSV writer between
+    # them, in this process, then the report's in-memory entries removed
+    assert [c["name"] for c in tracer.calls if c["depth"] == 0] == ["_run", "_pop_private"]
+    assert [c["name"] for c in tracer.calls if c["depth"] == 1] == [
+        "_base_stage", "_tables", "_start", "_perturbation_stage", "_pop_private"
+    ]
     writer = names.index("_write_tables")
-    assert [(c["name"], c["depth"]) for c in tracer.calls[writer + 1 : writer + 3]] == [("_write_csv", 1)] * 2
+    assert [(c["name"], c["depth"]) for c in tracer.calls[writer - 2 : writer + 3]] == [
+        ("_start", 1), ("_attempt", 2), ("_write_tables", 3), ("_write_csv", 4), ("_write_csv", 4)
+    ]
     for name in ("sample", "evaluate_outputs", "sensitivity_curve", "estimate_output_density", "estimate_kl"):
         assert name in names
     fd = names.index("estimate_gradient_fd")
@@ -51,7 +60,29 @@ def test_stage_memory_traces_every_runner_call():
     assert tracer.run_faults >= sum(c["faults"] for c in tracer.calls if c["depth"] == 0)
 
     oracle = tool.trace_run(runner.RunConfig(case="discrete-oracle"))
-    assert [(c["name"], c["depth"]) for c in oracle.calls] == [("run_case", 0), ("_run_discrete_oracle", 1)]
+    assert [(c["name"], c["depth"]) for c in oracle.calls] == [
+        ("_run", 0),
+        ("_run_discrete_oracle", 1),
+        ("binomial_family", 2),
+        *[("discrete_simplex_oracle", 2)] * 3,
+        ("_tables", 1),
+        ("_pop_private", 1),
+        ("_pop_private", 0),
+    ]
+
+
+def test_stage_memory_restores_the_runner_when_a_stage_raises(monkeypatch):
+    tool = _load()
+
+    def failing_stage(*args):
+        raise RuntimeError("perturbation stage failed")
+
+    monkeypatch.setattr(runner, "_perturbation_stage", failing_stage)
+    originals, fork = dict(vars(runner)), os.fork
+    with pytest.raises(RuntimeError, match="perturbation stage failed"):
+        tool.trace_run(runner.RunConfig(case="identity", n_samples=2000))
+    assert all(vars(runner)[name] is fn for name, fn in originals.items()) and os.fork is fork
+    assert not tracemalloc.is_tracing()
 
 
 def test_stage_memory_prints_each_call_of_a_fresh_run():
@@ -65,11 +96,13 @@ def test_stage_memory_prints_each_call_of_a_fresh_run():
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
     assert out[0].split()[:5] == ["call", "before", "peak", "after", "faults"]
-    fd_line = next(line for line in out if line.startswith("    estimate_gradient_fd"))
+    # _run, then _base_stage, then _fd_check
+    fd_line = next(line for line in out if line.startswith("      estimate_gradient_fd"))
     # three traced MB figures, then a whole number of faults
     *mbs, faults = fd_line.split()[1:]
     assert len(mbs) == 3 and all(float(v) >= 0.0 for v in mbs) and int(faults) >= 0
-    assert any(line.startswith("  _write_csv ") for line in out)
+    # _run, _start, _attempt, _write_tables: the writer ran in this process
+    assert sum(line.startswith("        _write_csv ") for line in out) == 2
     peak, faults = out[-1].split(", ")
     assert peak.startswith("run peak ") and peak.endswith(" MB")
     assert faults.endswith(" minor faults") and int(faults.split()[0]) > 0

@@ -1,17 +1,16 @@
-"""Traced memory of each stage of one perfbench workload run.
+"""Traced memory of each call of one perfbench workload run.
 
 Usage: python3 tools/stage_memory.py WORKLOAD [--seed N] [--samples N]
 
-Runs the stages of ``probsens.runner.run`` once, in this process, on the
-configuration of a perfbench workload (``WORKLOADS`` in
-``perfbench/worker.py``, read, not edited): the base stage, the CSV
-writer into a temporary directory, then the perturbation stage; the oracle
-is one ``run_case``.  ``run`` itself hands the CSV files to a forked writer
-process, whose figures would leave with it, so the tool calls the same
-writer here instead and writes no report.json.  The stages, and every
-function that they and ``_fd_check`` look up by name in
-``probsens.runner``, are wrapped first, so the stages run unmodified and
-call the wrappers.  Under ``tracemalloc`` each call prints, indented by
+Runs ``probsens.runner.run`` once, in this process, on the configuration
+of a perfbench workload (``WORKLOADS`` in ``perfbench/worker.py``, read,
+not edited), writing its files to a temporary directory.  ``run`` hands
+the CSV files to a forked writer process, whose figures would leave with
+it, so ``os.fork`` is removed for that one call and the writer runs here,
+as it does wherever ``os.fork`` does not exist.  Every function that
+``run`` looks up by name in ``probsens.runner``, and that those of them
+defined there look up, is wrapped first, so the run is unmodified and
+calls the wrappers.  Under ``tracemalloc`` each call prints, indented by
 its nesting depth, the traced memory before it, at its peak and after it,
 in MB, and the minor page faults the process took during it
 (``ru_minflt`` of ``getrusage(RUSAGE_SELF)``, nested calls included): each
@@ -25,9 +24,11 @@ checkout to measure, e.g. ``PYTHONPATH=src``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib.util
 import inspect
+import os
 import resource
 import sys
 import tempfile
@@ -37,9 +38,6 @@ from pathlib import Path
 from probsens import runner
 
 _WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
-# the stages the tool calls, wrapped with every function they look up
-_STAGES = ("run_case", "_base_stage", "_write_tables", "_perturbation_stage")
-_CALLERS = (*_STAGES, "_fd_check")
 
 
 def workloads(path: Path = _WORKER) -> dict:
@@ -94,48 +92,44 @@ class StageTracer:
         return traced
 
     def install(self, module) -> dict:
-        """Wrap the stages and every module-level function the callers look
-        up; returns the wrapped functions by name."""
-        originals = {
-            name: vars(module)[name]
-            for caller in _CALLERS
-            for name in (caller, *getattr(module, caller).__code__.co_names)
-            if inspect.isfunction(vars(module).get(name))
-        }
+        """Wrap every function ``module.run`` looks up by name in ``module``,
+        or through the functions of ``module`` it looks up; returns them by
+        name.  A decorated one, such as a context manager, is walked but not
+        wrapped: its call returns before its body runs."""
+        originals, todo = {}, [module.run]
+        while todo:
+            for name in inspect.unwrap(todo.pop()).__code__.co_names:
+                fn = vars(module).get(name)
+                if name not in originals and inspect.isfunction(fn):
+                    originals[name] = fn
+                    if fn.__module__ == module.__name__:
+                        todo.append(fn)
         for name, fn in originals.items():
-            setattr(module, name, self.wrap(name, fn))
+            if not hasattr(fn, "__wrapped__"):
+                setattr(module, name, self.wrap(name, fn))
         return originals
 
 
-def _run_stages(config: runner.RunConfig, out_dir: Path) -> None:
-    """The stages of one ``runner.run``, in its order, in this process."""
-    if config.case == "discrete-oracle":
-        runner.run_case(config)
-        return
-    report, base = runner._base_stage(config)
-    tables = runner._tables(report)
-    runner._write_tables(tables, {name: out_dir / name for name in tables})
-    del tables
-    runner._perturbation_stage(config, report, base)
-
-
 def trace_run(config: runner.RunConfig) -> StageTracer:
-    """The stages of one run of ``config`` under the tracer, the CSV files
-    written to a temporary directory; the runner's names are restored
-    afterwards."""
+    """One ``runner.run`` of ``config`` under the tracer, in this process,
+    its files written to a temporary directory; ``os.fork`` and the
+    runner's names are restored afterwards, also when the run raises."""
     tracer = StageTracer()
-    originals = tracer.install(runner)
-    tracemalloc.start()
-    faults = _minor_faults()
-    try:
-        with tempfile.TemporaryDirectory() as out_dir:
-            _run_stages(config, Path(out_dir))
-        tracer.run_faults = _minor_faults() - faults
-        tracer._fold()
-    finally:
-        tracemalloc.stop()
-        for name, fn in originals.items():
-            setattr(runner, name, fn)
+    with tempfile.TemporaryDirectory() as out_dir:
+        config = dataclasses.replace(config, out_dir=out_dir)
+        originals = tracer.install(runner)
+        fork = vars(os).pop("fork")
+        try:
+            tracemalloc.start()
+            faults = _minor_faults()
+            runner.run(config)
+            tracer.run_faults = _minor_faults() - faults
+            tracer._fold()
+        finally:
+            tracemalloc.stop()
+            os.fork = fork
+            for name, fn in originals.items():
+                setattr(runner, name, fn)
     return tracer
 
 
